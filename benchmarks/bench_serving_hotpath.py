@@ -102,6 +102,12 @@ class PrePRMoDMSystem(MoDMSystem):
                 self._schedule_arrivals(records[start:i])
                 start = i
 
+    def _schedule_arrivals(self, batch):
+        self.loop.schedule(
+            batch[0].arrival_s,
+            lambda now, recs=tuple(batch): self._arrive_batch(recs, now),
+        )
+
     def _start(self, worker, item, now):
         # Pre-PR: one completion closure per job, no same-timestamp
         # completion cohorts.

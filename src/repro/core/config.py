@@ -444,9 +444,7 @@ class MoDMConfig:
     falls back to faster ones under load (Fig. 10's SDXL -> SANA switch).
 
     ``cache_policy`` selects eviction from the cache's policy registry
-    (``fifo`` — the paper's sliding window — ``lru``, or ``utility``);
-    ``cache_shards > 1`` partitions the embedding store across that many
-    shards for beyond-one-matrix capacity.
+    (``fifo`` — the paper's sliding window — ``lru``, or ``utility``).
 
     ``retrieval_backend`` selects the similarity-scan implementation:
     ``"exact"`` (default) is the masked-argmax full scan, bit-for-bit
@@ -463,13 +461,12 @@ class MoDMConfig:
 
     ``cache_tiering`` opts into the tiered cache
     (:mod:`repro.core.tiering`): a quantized fp16 scan tier, a small
-    RAM-resident hot tier, and a memmap cold tier holding every exact
+    RAM-resident hot tier, and a ``pread`` cold tier holding every exact
     embedding — the ten-million-entry layout.  ``None`` — the default —
     keeps the flat single-matrix cache bit-for-bit.  Tiering requires
-    ``retrieval_backend="ivf"`` (the scan tier *is* the IVF blocks),
-    ``cache_shards=1``, and ``cache_policy="fifo"`` (capacity eviction
-    is a FIFO ring; the tiering config's ``tier_policy`` is what drives
-    hot-tier demotion).
+    ``retrieval_backend="ivf"`` (the scan tier *is* the IVF blocks)
+    and ``cache_policy="fifo"`` (capacity eviction is a FIFO ring; the
+    tiering config's ``tier_policy`` is what drives hot-tier demotion).
 
     ``image_id_len_cap`` bounds image-id lineage growth: a refined
     image's id embeds its source's full id, so under cache admission
@@ -488,7 +485,6 @@ class MoDMConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cache_capacity: int = 10_000
     cache_policy: str = "fifo"
-    cache_shards: int = 1
     cache_admission: CacheAdmission = CacheAdmission.ALL
     retrieval: str = "text-to-image"
     retrieval_backend: str = "exact"
@@ -496,8 +492,6 @@ class MoDMConfig:
     ann_nprobe: int = 8
     ann_train_min: int = 0
     monitor_mode: MonitorMode = MonitorMode.THROUGHPUT
-    monitor_period_s: float = 60.0
-    monitor_window_s: float = 300.0
     use_pid: bool = True
     embed_latency_s: float = 0.01
     threshold_shift: float = 0.0
@@ -518,10 +512,6 @@ class MoDMConfig:
                 f"unknown cache_policy {self.cache_policy!r}; "
                 f"available: {sorted(EVICTION_POLICIES)}"
             )
-        if not 1 <= self.cache_shards <= self.cache_capacity:
-            raise ValueError(
-                "cache_shards must be >= 1 and <= cache_capacity"
-            )
         if self.retrieval not in ("text-to-image", "text-to-text"):
             raise ValueError(
                 "retrieval must be 'text-to-image' or 'text-to-text'"
@@ -538,8 +528,6 @@ class MoDMConfig:
             )
         if self.ann_nprobe < 1:
             raise ValueError("ann_nprobe must be >= 1")
-        if self.monitor_period_s <= 0 or self.monitor_window_s <= 0:
-            raise ValueError("monitor periods must be positive")
         if self.embed_latency_s < 0:
             raise ValueError("embed_latency_s must be non-negative")
         if self.image_id_len_cap is not None and self.image_id_len_cap < 1:
@@ -549,11 +537,6 @@ class MoDMConfig:
                 raise ValueError(
                     "cache_tiering requires retrieval_backend='ivf' "
                     "(the quantized scan tier is the IVF blocks)"
-                )
-            if self.cache_shards != 1:
-                raise ValueError(
-                    "cache_tiering requires cache_shards=1 (tiering "
-                    "and sharding are mutually exclusive)"
                 )
             if self.cache_policy != "fifo":
                 raise ValueError(

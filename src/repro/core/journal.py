@@ -281,8 +281,8 @@ def _classify_heap(system) -> List[Tuple[float, str]]:
             raise ValueError(
                 "cannot snapshot: pending event "
                 f"{callback!r} at t={time:.6f} is not a recognised "
-                "engine event (out-of-order traces and cluster-level "
-                "events are not snapshottable)"
+                "engine event (cluster-level events are not "
+                "snapshottable)"
             )
         entries.append((time, kind))
     return entries

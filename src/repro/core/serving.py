@@ -666,31 +666,18 @@ class BaseServingSystem:
 
         Adjacent same-tick records form one cohort (the store rows are in
         trace order, so cohort bounds come from one vectorized compare).
-        Hand-built out-of-order traces fall back to per-cohort heap
-        events — the heap provides the sort the timeline lane refuses.
+        The lane raises ``ValueError`` on arrivals out of time order.
         """
         arrivals = self.request_store.column("arrival_s")
         starts = np.flatnonzero(
             np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
         )
         bounds = np.append(starts, len(records)).tolist()
-        if np.any(arrivals[1:] < arrivals[:-1]):
-            for i in range(len(starts)):
-                self._schedule_arrivals(
-                    records[bounds[i] : bounds[i + 1]]
-                )
-            return
 
         def fire_cohort(now: float, i: int) -> None:
             self._arrive_batch(records[bounds[i] : bounds[i + 1]], now)
 
         self.loop.schedule_timeline(arrivals[starts], fire_cohort)
-
-    def _schedule_arrivals(self, batch: List[RequestRecord]) -> None:
-        self.loop.schedule(
-            batch[0].arrival_s,
-            lambda now, recs=tuple(batch): self._arrive_batch(recs, now),
-        )
 
     def _arrive_cohort(
         self, records: Sequence[RequestRecord], now: float
@@ -1096,7 +1083,6 @@ class MoDMSystem(BaseServingSystem):
             capacity=config.cache_capacity,
             embed_dim=retrieval.embed_dim,
             policy=config.cache_policy,
-            n_shards=config.cache_shards,
             backend=config.retrieval_backend,
             ann=IVFParams(
                 nlist=config.ann_nlist,
@@ -1126,8 +1112,6 @@ class MoDMSystem(BaseServingSystem):
         self.monitor = GlobalMonitor(
             MonitorConfig(
                 mode=config.monitor_mode,
-                period_s=config.monitor_period_s,
-                window_s=config.monitor_window_s,
                 use_pid=config.use_pid,
             ),
             large_model=self._large_spec,

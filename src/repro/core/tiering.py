@@ -422,7 +422,6 @@ class TieredVectorCache:
         policy: str = "fifo",
         backend: str = "ivf",
         ann: Optional[IVFParams] = None,
-        _id_source: Optional[SnapCounter] = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -484,7 +483,7 @@ class TieredVectorCache:
                 rerank=max(base.rerank, tiering.shortlist),
             ),
         )
-        self._ids = _id_source if _id_source is not None else SnapCounter()
+        self._ids = SnapCounter()
         self.last_inserted: Optional[TieredEntry] = None
         self.insertions = 0
         self.evictions = 0
@@ -909,11 +908,6 @@ class TieredVectorCache:
         survives the process; with an anonymous cold file it supports
         in-process warm restarts (the cluster layer's kill/rejoin).
         """
-        if not isinstance(self._ids, SnapCounter):
-            raise TypeError(
-                "cache id source is not a SnapCounter; external "
-                "_id_source iterators are not snapshottable"
-            )
         return TieredCacheState(
             capacity=self._capacity,
             embed_dim=self._embed_dim,
@@ -961,11 +955,6 @@ class TieredVectorCache:
         blocks (via :meth:`IVFIndex.refill_rows`) and the hot store, so
         peak restore memory is one chunk, not the corpus.
         """
-        if not isinstance(self._ids, SnapCounter):
-            raise TypeError(
-                "cache id source is not a SnapCounter; external "
-                "_id_source iterators are not restorable"
-            )
         if (
             state.capacity != self._capacity
             or state.embed_dim != self._embed_dim

@@ -23,10 +23,7 @@ import pytest
 
 from repro._rng import rng_for
 from repro.core.ann import IVFIndex, IVFParams
-from repro.core.cache import (
-    RETRIEVAL_SECONDS_PER_ENTRY,
-    VectorCache,
-)
+from repro.core.cache import VectorCache
 from repro.core.config import MoDMConfig
 
 
@@ -367,41 +364,6 @@ class TestExactBackendGolden:
             VectorCache(capacity=8, embed_dim=4, backend="hnsw")
         with pytest.raises(ValueError, match="retrieval_backend"):
             MoDMConfig(retrieval_backend="hnsw")
-
-
-class TestShardedIVF:
-    def test_sharded_cache_threads_backend(self):
-        from repro.core.cache import ShardedVectorCache
-
-        data = clustered_embeddings(
-            4_096, 24, n_topics=32, seed="ann-shard"
-        )
-        sharded = ShardedVectorCache(
-            capacity=4_096,
-            embed_dim=24,
-            n_shards=4,
-            backend="ivf",
-            ann=IVFParams(
-                nlist=8, nprobe=8, train_min=256, seed="ann-shard"
-            ),
-        )
-        for i in range(data.shape[0]):
-            sharded.insert(i, data[i], now=float(i))
-        assert sharded.backend == "ivf"
-        entry, sim = sharded.retrieve(data[7])
-        assert entry is not None and sim > 0.5
-        for shard in sharded._shards:
-            assert shard.index is not None and shard.index.trained
-        coarse = sharded.coarse_centroids()
-        assert coarse is not None
-        # One sketch row per non-empty cell across all shards.
-        assert coarse.shape == (4 * 8, 24)
-        # API parity with VectorCache: modelled scan is sublinear and
-        # consistent with the latency model.
-        assert sharded.scan_entries() < len(sharded)
-        assert sharded.retrieval_latency_s() == pytest.approx(
-            sharded.scan_entries() * RETRIEVAL_SECONDS_PER_ENTRY
-        )
 
 
 class TestServingIntegration:

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster_router import (
-    ClusterSnapshot,
     MIGRATION_POLICY_REGISTRY,
     modm_cluster,
 )

@@ -4,7 +4,6 @@
 import numpy as np
 import pytest
 
-from repro.core.cache import ShardedImageCache
 from repro.core.config import (
     CacheAdmission,
     ClusterConfig,
@@ -69,6 +68,28 @@ class TestRunLifecycle:
         system = _system(space, store_images=False)
         report = system.run(small_trace)
         assert all(r.image is None for r in report.completed())
+
+    def test_out_of_order_trace_rejected(self, space, ddb_trace):
+        # Trace construction rejects unsorted requests; a trace mutated
+        # afterwards must be refused by the run, not silently served.
+        from repro.core.cluster_router import modm_cluster
+        from repro.core.config import ClusterRoutingConfig
+
+        trace = ddb_trace.slice(0, 40).rebase()
+        trace.requests.reverse()
+        with pytest.raises(ValueError, match="sorted"):
+            _system(space).run(trace)
+        cluster = modm_cluster(
+            space,
+            MoDMConfig(
+                cluster=ClusterConfig(gpu_name="MI210", n_workers=4),
+                cache_capacity=200,
+                small_models=("sdxl",),
+            ),
+            ClusterRoutingConfig(n_replicas=2),
+        )
+        with pytest.raises(ValueError, match="sorted"):
+            cluster.run(trace)
 
     def test_until_cuts_run_short(self, space, small_trace):
         report = _system(space).run(small_trace, until=600.0)
@@ -263,30 +284,6 @@ class TestReadyQueueOrdering:
             queue.push(record, now=0.0)
         queue.pop(now=4.0)  # promotes 0-2, pops 0
         assert list(queue) == records[1:]
-
-
-class TestShardedServing:
-    def test_sharded_cache_run_completes(self, space, small_trace):
-        system = _system(space, cache_shards=4)
-        assert isinstance(system.cache, ShardedImageCache)
-        report = system.run(small_trace)
-        assert report.n_completed == len(small_trace)
-        assert report.cache_size > 0
-        stats = system.cache.shard_stats()
-        assert len(stats) == 4
-        assert sum(s["size"] for s in stats) == report.cache_size
-
-    def test_sharded_matches_unsharded_closely(self, space, ddb_trace):
-        trace = ddb_trace.slice(100, 200).rebase()
-        warm = [r.prompt for r in ddb_trace.requests[:100]]
-        flat_sys = _system(space)
-        flat_sys.warm_cache(warm)
-        shard_sys = _system(space, cache_shards=4)
-        shard_sys.warm_cache(warm)
-        flat = flat_sys.run(trace)
-        sharded = shard_sys.run(trace)
-        # Same contents, same retrieval results -> same decisions.
-        assert sharded.hit_rate == flat.hit_rate
 
 
 class TestReportMetrics:

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 
 import pytest
 
@@ -92,3 +93,16 @@ class TestPackagingMetadata:
         root = os.path.join(os.path.dirname(__file__), os.pardir)
         for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
             assert os.path.exists(os.path.join(root, doc)), doc
+
+
+class TestReadmeExample:
+    def test_python_block_runs(self, capsys):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "README.md")) as handle:
+            blocks = re.findall(
+                r"```python\n(.*?)```", handle.read(), flags=re.DOTALL
+            )
+        assert len(blocks) == 1, "README should carry one python example"
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        hit_rate, rpm = map(float, capsys.readouterr().out.split())
+        assert 0.0 <= hit_rate <= 1.0 and rpm > 0
