@@ -37,10 +37,10 @@ Design, in the order a request sees it:
   ``nlist`` coarse centroids (one small matvec), scans the ``nprobe``
   best cells' blocks in float32, masks tombstoned rows, and re-scores
   the winners against the cache's float64 embedding matrix — so the
-  *similarities* the scheduler thresholds are always exact; only
-  *which* entries were considered is approximate.  Ties break toward
-  the lowest slot id and every step is a deterministic function of the
-  index state.
+  *similarities* the scheduler thresholds are always the canonical
+  :func:`canonical_sim`; only *which* entries were considered is
+  approximate.  Ties break toward the lowest slot id and every step is
+  a deterministic function of the index state.
 * **Drift control** — assignment anchors are fixed between trainings;
   after ``retrain_inserts`` insertions (default: two full cache
   turnovers) the index retrains from the current live set so anchors
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +69,177 @@ RETRIEVAL_BACKENDS: Tuple[str, ...] = ("exact", "ivf")
 #: cache's quantized hot tier (the coarse scan decodes per probed cell,
 #: and the exact f64 re-rank keeps returned similarities exact).
 BLOCK_DTYPES: Tuple[str, ...] = ("fp32", "fp16")
+
+_U64 = 2.0**-53  # float64 unit roundoff
+
+
+# ----------------------------------------------------------------------
+# Canonical similarity
+# ----------------------------------------------------------------------
+def unit_query(query: np.ndarray) -> Optional[np.ndarray]:
+    """``query`` scaled to unit norm, or None for a zero query.
+
+    ``sqrt(dot)`` is what ``np.linalg.norm`` computes for 1-D floats,
+    without the linalg dispatch overhead.  Every retrieval path
+    normalizes through here, so a query has one unit vector whichever
+    path scores it.
+    """
+    qnorm = math.sqrt(float(np.dot(query, query)))
+    if qnorm == 0.0:
+        return None
+    return query / qnorm
+
+
+def canonical_sim(row: np.ndarray, query_unit: np.ndarray) -> float:
+    """The similarity every retrieval path returns (Eq. 1): one float64
+    ``np.dot`` of a cached embedding with the unit query.
+
+    A matrix product scores a row with whatever bits its kernel produces
+    at that row's position, so scans only *screen* candidates; winners
+    are re-scored here, making results independent of the scan's
+    precision, layout and batch shape.
+    """
+    return float(np.dot(row, query_unit))
+
+
+def screen_margin(dim: int, dtype, max_norm: float) -> float:
+    """Bound on ``|screened score - canonical_sim|`` for any row of norm
+    at most ``max_norm`` against a unit query.
+
+    With unit roundoffs ``u`` (screen dtype) and ``u64``, and
+    ``g(n, u) = n·u / (1 - n·u)``, for row ``e`` and query ``q``
+    (``sum|e_j q_j| <= |e|·|q|``):
+
+    * canonical ``np.dot`` vs the exact dot: ``g(d, u64)·|e||q|``;
+    * a float64 screen (any summation order): ``g(d, u64)·|e||q|``;
+    * a float32 screen rounds ``e`` and ``q`` (``(2u + u²)·|e||q|``)
+      then sums in float32 (``g(d, u)·(1 + u)²·|e||q|``).
+
+    One more ``u·|e|`` covers rounding the shortlist threshold to the
+    screen dtype.  ``max_norm`` and the unit query's norm are computed
+    values, each within ``(d + 2)·u64`` of the truth, and ``d·tiny``
+    absorbs underflow.
+    """
+    u = float(np.finfo(dtype).eps) / 2.0
+    g64 = dim * _U64 / (1.0 - dim * _U64)
+    if u == _U64:
+        screen = g64
+    else:
+        screen = (2.0 + u) * u + dim * u / (1.0 - dim * u) * (1.0 + u) ** 2
+    slack = (1.0 + (dim + 2) * _U64) ** 2
+    coef = g64 + screen + u
+    return coef * max_norm * slack + dim * float(np.finfo(dtype).tiny)
+
+
+class ScreenMargin:
+    """Running maximum of inserted row norms and the
+    :func:`screen_margin` (``value``) it implies.
+
+    Grows on insert and only resets with the rows it covers, so an
+    evicted row can leave the margin wider than the live rows need —
+    which changes how many rows are re-scored, never the result.
+    """
+
+    def __init__(self, dim: int, dtype) -> None:
+        self._dim = dim
+        self._dtype = np.dtype(dtype)
+        self.reset()
+
+    def reset(self) -> None:
+        """Cover no rows."""
+        self._set(0.0)
+
+    def grow(self, row: np.ndarray) -> None:
+        """Cover one more row (one norm)."""
+        norm = math.sqrt(float(np.dot(row, row)))
+        if norm > self.max_norm:
+            self._set(norm)
+
+    def grow_rows(self, rows: np.ndarray) -> None:
+        """Cover every row of a 2-D block."""
+        if rows.shape[0]:
+            norm = math.sqrt(float(np.einsum("ij,ij->i", rows, rows).max()))
+            if norm > self.max_norm:
+                self._set(norm)
+
+    def _set(self, norm: float) -> None:
+        self.max_norm = norm
+        self.value = screen_margin(self._dim, self._dtype, norm)
+
+
+def canonical_best(
+    sims: np.ndarray,
+    margin: float,
+    row: Callable[[int], np.ndarray],
+    query_unit: np.ndarray,
+) -> Optional[Tuple[int, float]]:
+    """Index and :func:`canonical_sim` of the canonical best row.
+
+    ``sims`` are screened scores (``-inf`` for rows that cannot win),
+    each within ``margin`` of its row's canonical similarity, and
+    ``row(i)`` returns row ``i``'s embedding.  The canonical winner
+    scores at least ``max(sims) - 2·margin`` on the screen, so only rows
+    above that line are re-scored — almost always just the screen's
+    argmax.  Exact ties go to the lowest index.  None when every score
+    is ``-inf``.
+    """
+    best = int(sims.argmax())
+    top = float(sims[best])
+    if top == -math.inf:
+        return None
+    near = sims >= top - 2.0 * margin
+    if np.count_nonzero(near) == 1:
+        return best, canonical_sim(row(best), query_unit)
+    best, top = -1, -math.inf
+    for i in np.flatnonzero(near):
+        sim = canonical_sim(row(int(i)), query_unit)
+        if sim > top:
+            best, top = int(i), sim
+    return best, top
+
+
+def canonical_topk(
+    sims: np.ndarray,
+    margin: float,
+    k: int,
+    row: Callable[[int], np.ndarray],
+    query_unit: np.ndarray,
+) -> List[Tuple[int, float]]:
+    """The ``k`` canonical best rows, best first (lowest index on ties).
+
+    Same contract as :func:`canonical_best`; ``k`` must not exceed the
+    number of finite scores.  The canonical k-th best is at least the
+    screen's k-th best minus ``margin``, so every canonical top-``k``
+    row screens within ``2·margin`` of the screen's k-th best.
+    """
+    if k == 1:
+        found = canonical_best(sims, margin, row, query_unit)
+        return [] if found is None else [found]
+    if k < sims.shape[0]:
+        kth = float(sims[np.argpartition(sims, -k)[-k:]].min())
+    else:
+        kth = float(sims.min())
+    shortlist = np.flatnonzero(sims >= kth - 2.0 * margin)
+    exact = np.array(
+        [canonical_sim(row(int(i)), query_unit) for i in shortlist]
+    )
+    order = np.lexsort((shortlist, -exact))[:k]
+    return [(int(shortlist[i]), float(exact[i])) for i in order]
+
+
+def rerank_rows(
+    rows: np.ndarray, query_unit: np.ndarray, k: int, margin: float
+) -> List[Tuple[int, float]]:
+    """Canonical top-``k`` of gathered float64 ``rows`` (indices into
+    ``rows``), screened by one matrix-vector product; ``margin`` is a
+    float64 :class:`ScreenMargin` value covering every row."""
+    return canonical_topk(
+        rows @ query_unit,
+        margin,
+        min(k, rows.shape[0]),
+        rows.__getitem__,
+        query_unit,
+    )
 
 
 @dataclass
@@ -567,14 +738,8 @@ class IVFIndex:
             return None, None
         return np.concatenate(slot_parts), np.concatenate(sim_parts)
 
-    def _exact_sim(self, slot: int, query_unit: np.ndarray) -> float:
-        """Full-precision cosine of one slot (winners are re-scored
-        against the f64 matrix, so returned similarities never carry
-        the f32 block-scan error)."""
-        return float(np.dot(self._matrix[slot], query_unit))
-
     def search(
-        self, query_unit: np.ndarray
+        self, query_unit: np.ndarray, margin: float
     ) -> Optional[Tuple[int, float]]:
         """Best live slot and its exact similarity, or None.
 
@@ -583,10 +748,12 @@ class IVFIndex:
         (identical cached embeddings) break toward the lowest slot id,
         matching :meth:`search_topk`'s ordering for duplicate entries.
         With ``rerank > 1`` the top-``rerank`` block candidates (plus
-        any tied at the selection boundary) are re-scored against the
-        f64 matrix and the best *exact* similarity wins (lowest slot id
-        breaking exact ties) — the shortlist that makes a quantized
-        block scan safe against near-tie misordering.
+        any tied at the selection boundary) are re-ranked against the
+        f64 matrix and the best canonical similarity wins (lowest slot
+        id breaking exact ties) — the shortlist that makes a quantized
+        block scan safe against near-tie misordering.  Either way the
+        returned similarity is :func:`canonical_sim`.  ``margin`` is the
+        owning cache's float64 :class:`ScreenMargin` value.
         """
         slots, sims = self._probe(query_unit)
         if slots is None:
@@ -598,7 +765,9 @@ class IVFIndex:
         rerank = self.params.rerank
         if rerank <= 1:
             best_slot = int(slots[sims == best_sim].min())
-            return best_slot, self._exact_sim(best_slot, query_unit)
+            return best_slot, canonical_sim(
+                self._matrix[best_slot], query_unit
+            )
         valid = np.flatnonzero(sims > -np.inf)
         vsims = sims[valid]
         r = min(rerank, valid.size)
@@ -607,21 +776,24 @@ class IVFIndex:
             sel = slots[valid[vsims >= kth]]
         else:
             sel = slots[valid]
-        exact = self._matrix[sel] @ query_unit
-        order = np.lexsort((sel, -exact))
-        top = int(order[0])
-        return int(sel[top]), float(exact[top])
+        # Ascending slots, so the re-rank's lowest-index tie-break is
+        # the lowest slot id.
+        sel = np.sort(sel)
+        [(top, sim)] = rerank_rows(
+            self._matrix[sel], query_unit, 1, margin
+        )
+        return int(sel[top]), sim
 
     def search_topk(
-        self, query_unit: np.ndarray, k: int
+        self, query_unit: np.ndarray, k: int, margin: float
     ) -> List[Tuple[int, float]]:
         """Top-``k`` live slots over the probed cells, best first.
 
         Approximate in the IVF sense: entries outside the probed cells
         are invisible, so fewer than ``k`` pairs can come back even when
         occupancy exceeds ``k``.  Selection runs on the f32 blocks; the
-        selected rows are re-scored and ordered by exact f64 similarity
-        (lowest slot id breaking ties).
+        selected rows are re-ranked by :func:`canonical_sim` (lowest
+        slot id breaking ties); ``margin`` as in :meth:`search`.
         """
         slots, sims = self._probe(query_unit)
         if slots is None:
@@ -642,9 +814,13 @@ class IVFIndex:
             sel = slots[valid[vsims >= kth]]
         else:
             sel = slots[valid]
-        exact = self._matrix[sel] @ query_unit
-        order = np.lexsort((sel, -exact))[:k]
-        return [(int(sel[i]), float(exact[i])) for i in order]
+        sel = np.sort(sel)
+        return [
+            (int(sel[i]), sim)
+            for i, sim in rerank_rows(
+                self._matrix[sel], query_unit, k, margin
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Snapshot / restore / clear

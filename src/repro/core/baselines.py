@@ -204,8 +204,7 @@ class NirvanaSystem(BaseServingSystem):
         self, records: Sequence[RequestRecord], now: float
     ) -> None:
         # Same-tick arrivals score against the latent cache in one
-        # matrix-matrix product (the cache routes singleton batches
-        # through its exact matrix-vector path).
+        # batched retrieval (bit-identical to per-request lookups).
         latency = (
             self._embed_latency_s + self.cache.retrieval_latency_s()
         )
@@ -403,8 +402,8 @@ class PineconeSystem(BaseServingSystem):
     def _handle_arrivals(
         self, records: Sequence[RequestRecord], now: float
     ) -> None:
-        # Same-tick arrivals retrieve as one batched matrix product (the
-        # cache routes singleton batches through its matrix-vector path).
+        # Same-tick arrivals retrieve as one batched matrix product
+        # (bit-identical to per-request lookups).
         latency = self._embed_latency_s + self.cache.retrieval_latency_s()
         queries = self._retrieval.query_embeddings(
             [record.prompt for record in records]

@@ -7,19 +7,26 @@ policies (LRU, utility-based) are available through the eviction-policy
 registry, including the Nirvana-style utility eviction the paper argues
 against.
 
-Retrieval is one masked matrix-vector product followed by an ``argmax`` —
-O(n) with vectorized constants — instead of a full O(n log n) sort, which
-is what lets the scan stay at the paper's 0.05 s / 100k-entry budget as
-occupancy grows (§5.2).  Eviction bookkeeping is O(1) amortized (FIFO/LRU)
-or O(log n) (utility heap) via lazy tombstones, never an O(n) list scan.
+Retrieval returns one canonical similarity per entry,
+:func:`~repro.core.ann.canonical_sim` — the float64 ``np.dot`` of the
+entry's embedding with the unit query — and the lowest slot wins exact
+ties.  Finding the winner is O(n) with vectorized constants, not an
+O(n log n) sort, which is what keeps the scan at the paper's 0.05 s /
+100k-entry budget as occupancy grows (§5.2): one masked float32
+matrix-vector product screens every slot, and only the rows within a
+proven rounding margin of the best screened score (almost always one)
+are re-scored canonically.  Eviction bookkeeping is O(1) amortized
+(FIFO/LRU) or O(log n) (utility heap) via lazy tombstones, never an
+O(n) list scan.
 
 Past that budget — million-entry caches — even the exact O(n) scan is the
 bottleneck, so retrieval is pluggable: ``backend="ivf"`` puts an
 IVF-partitioned approximate index (:mod:`repro.core.ann`) behind the same
 ``retrieve``/``retrieve_topk``/``retrieve_batch`` surface, scanning only
 the ``nprobe`` nearest coarse cells per query with an exact re-rank over
-the gathered candidates.  The default ``"exact"`` backend leaves every
-scan path byte-identical to the pre-index implementation.
+the gathered candidates.  Both backends return the same canonical
+similarities, so the IVF backend with every cell probed and a full
+re-rank shortlist agrees with the exact backend bit for bit.
 
 :class:`LatentCache` models what Nirvana stores instead: per-image stacks of
 intermediate latents that are heavier (~2.5 MB vs ~1.4 MB) and only usable
@@ -30,7 +37,6 @@ from __future__ import annotations
 
 import collections
 import heapq
-import math
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -45,7 +51,16 @@ from typing import (
 
 import numpy as np
 
-from repro.core.ann import IVFIndex, IVFParams, IVFState, RETRIEVAL_BACKENDS
+from repro.core.ann import (
+    IVFIndex,
+    IVFParams,
+    IVFState,
+    RETRIEVAL_BACKENDS,
+    ScreenMargin,
+    canonical_best,
+    canonical_topk,
+    unit_query,
+)
 from repro.core.journal import SnapCounter
 from repro.diffusion.latent import CachedLatent, SyntheticImage
 
@@ -275,11 +290,18 @@ class UtilityEviction(EvictionPolicy):
 class VectorCache(Generic[PayloadT]):
     """Fixed-capacity cache with cosine-similarity retrieval.
 
-    Embeddings live in a preallocated matrix so retrieval is one matrix-
-    vector product — mirroring the paper's GPU-resident embedding store
-    (100k embeddings fit in 0.29 GB; retrieval takes 0.05 s).  The best
-    match is a masked ``argmax`` over live slots, O(n) instead of the
-    O(n log n) full sort.
+    Embeddings live in a preallocated scan matrix, one column per slot,
+    so scoring every slot is one matrix-vector product — mirroring the
+    paper's GPU-resident embedding store (100k embeddings fit in
+    0.29 GB; retrieval takes 0.05 s).  On the exact backend that matrix
+    is float32: it only *screens* (half the bytes of float64 to stream
+    per query), and the rows whose screened score is within
+    ``2·screen_margin`` of the best are re-scored with
+    :func:`~repro.core.ann.canonical_sim`, lowest slot winning ties —
+    the canonical winner always survives the screen, so every path
+    (single, top-k, batched, tiered) returns the same entry and the same
+    similarity bits.  The margin scales with a running maximum of the
+    inserted rows' norms.
 
     ``policy`` selects eviction from :data:`EVICTION_POLICIES`:
     ``"fifo"`` implements the sliding window of §5.4, ``"lru"`` evicts the
@@ -310,16 +332,26 @@ class VectorCache(Generic[PayloadT]):
         self._policy_name = policy
         self._backend = backend
         self._policy = make_eviction_policy(policy)
-        # snap: derived (both buffers rebuilt from entries on restore)
-        self._matrix = np.zeros((capacity, embed_dim))
         self._live = np.zeros(capacity, dtype=bool)  # snap: derived
-        # IVF index over the (fixed) matrix/live buffers; None on the
-        # exact backend, which keeps the pre-index scan path untouched.
-        self._index: Optional[IVFIndex] = (
-            IVFIndex(self._matrix, self._live, ann or IVFParams())
-            if backend == "ivf"
-            else None
-        )
+        # The scan matrix, one column per slot (zero for dead slots) and
+        # rebuilt from entries on restore.  The exact backend screens in
+        # float32; the IVF backend keeps float64 rows (``_matrix``),
+        # which its index trains on and re-ranks against, and scans
+        # their transpose.
+        self._matrix: Optional[np.ndarray] = None  # snap: derived
+        self._index: Optional[IVFIndex] = None
+        if backend == "ivf":
+            self._matrix = np.zeros((capacity, embed_dim))  # snap: derived
+            self._screen = self._matrix.T  # snap: derived
+            self._index = IVFIndex(
+                self._matrix, self._live, ann or IVFParams()
+            )
+        else:
+            self._screen = np.zeros(  # snap: derived
+                (embed_dim, capacity), dtype=np.float32
+            )
+        # snap: derived (rebuilt from live entries on restore)
+        self._margin = ScreenMargin(embed_dim, self._screen.dtype)
         # Running sum of live embeddings — an O(d) centroid sketch the
         # cluster router's cache-affinity policy reads on every arrival.
         self._embedding_sum = np.zeros(embed_dim)
@@ -444,8 +476,9 @@ class VectorCache(Generic[PayloadT]):
             inserted_at=now,
         )
         self._entries[slot] = entry
-        self._matrix[slot] = entry.embedding
+        self._screen[:, slot] = entry.embedding
         self._live[slot] = True
+        self._margin.grow(entry.embedding)
         self._embedding_sum += entry.embedding
         if self._index is not None:
             self._index.add(slot, entry.embedding)
@@ -461,8 +494,9 @@ class VectorCache(Generic[PayloadT]):
         assert entry is not None
         if self._index is not None:
             self._index.remove(slot, entry.embedding)
+        # The column keeps its stale values: the insert that forced this
+        # eviction overwrites it before any scan runs.
         self._entries[slot] = None
-        self._matrix[slot] = 0.0
         self._live[slot] = False
         self._embedding_sum -= entry.embedding
         self._slot_of.pop(entry.entry_id, None)
@@ -487,42 +521,39 @@ class VectorCache(Generic[PayloadT]):
         self.lookups += 1
         if len(self) == 0:
             return None, 0.0
-        # sqrt(dot) is exactly what np.linalg.norm computes for 1-D floats,
-        # without the linalg dispatch overhead (hot path: one call per
-        # scheduler decision).
-        qnorm = math.sqrt(float(np.dot(query, query)))
-        if qnorm == 0.0:
+        query_unit = unit_query(query)
+        if query_unit is None:
             return None, 0.0
         if self._index is not None and self._index.ready(len(self)):
-            found = self._index.search(query / qnorm)
+            found = self._index.search(query_unit, self._margin.value)
             if found is not None:
                 slot, sim = found
                 entry = self._entries[slot]
                 assert entry is not None
                 return entry, sim
             # Every probed cell empty/tombstoned: exact fallback below.
-        sims = self._matrix @ (query / qnorm)
-        # Mask dead slots (zero rows, sim exactly 0.0) so they can never
-        # shadow a live entry with a negative similarity.  A full cache —
-        # the steady state — has no dead slots and skips the masking pass.
-        if self._free_slots:
-            slot = int(np.argmax(np.where(self._live, sims, -np.inf)))
-        else:
-            slot = int(np.argmax(sims))
-        entry = self._entries[slot]
-        assert entry is not None
-        return entry, float(sims[slot])
+        found = canonical_best(
+            self._scan(query_unit),
+            self._margin.value,
+            self._row,
+            query_unit,
+        )
+        assert found is not None
+        slot, sim = found
+        return self._entries[slot], sim
 
     def retrieve_topk(
         self, query: np.ndarray, k: int
     ) -> List[Tuple[CacheEntry[PayloadT], float]]:
         """The ``k`` most-similar live entries, best first.
 
-        Uses ``argpartition`` — O(n + k log k), not a full sort.  Returns
-        fewer than ``k`` pairs when occupancy is below ``k`` — or, on
-        the IVF backend, when the probed cells hold fewer than ``k``
-        live entries (entries outside the probe set are invisible to
-        an approximate lookup).
+        Screens every slot, then re-scores only the rows that can reach
+        the canonical top ``k`` — O(n + k log k), not a full sort — so
+        ``retrieve_topk(q, k)[0] == retrieve(q)``.  Returns fewer than
+        ``k`` pairs when occupancy is below ``k`` — or, on the IVF
+        backend, when the probed cells hold fewer than ``k`` live
+        entries (entries outside the probe set are invisible to an
+        approximate lookup).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -531,47 +562,35 @@ class VectorCache(Generic[PayloadT]):
         n_live = len(self)
         if n_live == 0:
             return []
-        qnorm = math.sqrt(float(np.dot(query, query)))
-        if qnorm == 0.0:
+        query_unit = unit_query(query)
+        if query_unit is None:
             return []
         if self._index is not None and self._index.ready(n_live):
-            found = self._index.search_topk(query / qnorm, k)
+            found = self._index.search_topk(
+                query_unit, k, self._margin.value
+            )
             if found:
-                out = []
-                for slot, sim in found:
-                    entry = self._entries[slot]
-                    assert entry is not None
-                    out.append((entry, sim))
-                return out
+                return [(self._entries[slot], sim) for slot, sim in found]
             # Every probed cell empty/tombstoned: exact fallback below.
-        sims = self._matrix @ (query / qnorm)
-        masked = (
-            np.where(self._live, sims, -np.inf)
-            if self._free_slots
-            else sims
+        top = canonical_topk(
+            self._scan(query_unit),
+            self._margin.value,
+            min(k, n_live),
+            self._row,
+            query_unit,
         )
-        k_eff = min(k, n_live)
-        if k_eff < masked.shape[0]:
-            top = np.argpartition(masked, -k_eff)[-k_eff:]
-        else:
-            top = np.arange(masked.shape[0])
-        top = top[np.argsort(masked[top])[::-1]][:k_eff]
-        out: List[Tuple[CacheEntry[PayloadT], float]] = []
-        for slot in top:
-            entry = self._entries[int(slot)]
-            if entry is not None:
-                out.append((entry, float(sims[int(slot)])))
-        return out
+        return [(self._entries[slot], sim) for slot, sim in top]
 
     def retrieve_batch(
         self, queries: np.ndarray
     ) -> List[Tuple[Optional[CacheEntry[PayloadT]], float]]:
-        """Best match per row of ``queries`` via one matrix-matrix product.
+        """Best match per row of ``queries``, screened by one
+        matrix-matrix product.
 
-        The batched path the Request Scheduler uses for same-tick arrivals;
-        a single-row batch takes the exact matrix-vector path of
-        :meth:`retrieve` so singleton batches are bit-for-bit identical to
-        sequential calls.
+        The batched path the Request Scheduler uses for same-tick
+        arrivals.  Each row's winner and similarity are canonical, so
+        the result is bit-identical to calling :meth:`retrieve` per row
+        at any batch size.
         """
         if queries.ndim != 2 or queries.shape[1] != self._embed_dim:
             raise ValueError(
@@ -579,42 +598,54 @@ class VectorCache(Generic[PayloadT]):
                 f"got {queries.shape}"
             )
         n = queries.shape[0]
-        if n == 1:
-            return [self.retrieve(queries[0])]
         if (
             self._index is not None
             and len(self)
             and self._index.ready(len(self))
         ):
             # Per-row IVF searches: candidate gathering is inherently
-            # per-query, and routing every row through the single-query
-            # path keeps batched results bit-identical to sequential
-            # calls (each row still pays only the probed cells, so the
-            # batch stays sublinear in cache size).
+            # per-query (each row still pays only the probed cells, so
+            # the batch stays sublinear in cache size).
             return [self.retrieve(queries[i]) for i in range(n)]
         self.lookups += n
         empty: Tuple[Optional[CacheEntry[PayloadT]], float] = (None, 0.0)
         if len(self) == 0:
             return [empty] * n
-        norms = np.linalg.norm(queries, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        sims = (queries / safe[:, None]) @ self._matrix.T
-        if self._free_slots:
-            best = np.argmax(
-                np.where(self._live[None, :], sims, -np.inf), axis=1
-            )
-        else:
-            best = np.argmax(sims, axis=1)
+        units = [unit_query(queries[i]) for i in range(n)]
+        zero = np.zeros(self._embed_dim)
+        sims = self._scan(
+            np.stack([zero if u is None else u for u in units])
+        )
         out: List[Tuple[Optional[CacheEntry[PayloadT]], float]] = []
-        for i in range(n):
-            if norms[i] == 0.0:
+        for i, query_unit in enumerate(units):
+            if query_unit is None:
                 out.append(empty)
                 continue
-            slot = int(best[i])
-            entry = self._entries[slot]
-            assert entry is not None
-            out.append((entry, float(sims[i, slot])))
+            found = canonical_best(
+                sims[i], self._margin.value, self._row, query_unit
+            )
+            assert found is not None
+            slot, sim = found
+            out.append((self._entries[slot], sim))
         return out
+
+    def _scan(self, query_units: np.ndarray) -> np.ndarray:
+        """Screened scores of one unit query (or a stack of them)
+        against every slot (last axis); dead slots score ``-inf``.
+
+        A full cache — the steady state — has no dead slots and skips
+        the masking pass.
+        """
+        sims = (
+            query_units.astype(self._screen.dtype, copy=False)
+            @ self._screen
+        )
+        if self._free_slots:
+            sims = np.where(self._live, sims, -np.inf)
+        return sims
+
+    def _row(self, slot: int) -> np.ndarray:
+        return self._entries[slot].embedding
 
     def record_hit(self, entry: CacheEntry[PayloadT], now: float) -> None:
         """Count a confirmed cache hit against ``entry``."""
@@ -685,7 +716,8 @@ class VectorCache(Generic[PayloadT]):
 
         In place matters: the IVF index holds references to this
         cache's ``_matrix``/``_live`` buffers, so restore writes into
-        them instead of reallocating.
+        them instead of reallocating.  The screen margin is rebuilt from
+        the restored rows.
         """
         if (
             state.capacity != self._capacity
@@ -703,9 +735,10 @@ class VectorCache(Generic[PayloadT]):
                 f"backend={self._backend!r})"
             )
         self._entries = [None] * self._capacity
-        self._matrix[:] = 0.0
+        self._screen[:] = 0.0
         self._live[:] = False
         self._slot_of = {}
+        self._margin.reset()
         by_id: Dict[int, CacheEntry[PayloadT]] = {}
         for (
             slot,
@@ -725,8 +758,9 @@ class VectorCache(Generic[PayloadT]):
                 last_hit_at=last_hit_at,
             )
             self._entries[slot] = entry
-            self._matrix[slot] = embedding
+            self._screen[:, slot] = embedding
             self._live[slot] = True
+            self._margin.grow(embedding)
             self._slot_of[entry_id] = slot
             by_id[entry_id] = entry
         self._free_slots = list(state.free_slots)
@@ -762,8 +796,9 @@ class VectorCache(Generic[PayloadT]):
         keeps its RNG stream position for the same reason.
         """
         self._entries = [None] * self._capacity
-        self._matrix[:] = 0.0
+        self._screen[:] = 0.0
         self._live[:] = False
+        self._margin.reset()
         self._embedding_sum[:] = 0.0
         self._free_slots = list(range(self._capacity - 1, -1, -1))
         self._slot_of = {}

@@ -105,21 +105,19 @@ class RequestScheduler:
     ) -> List[Decision]:
         """Classify a batch of same-tick arrivals in one matrix product.
 
-        Embeds every prompt, scores all of them against the cache as a
+        Embeds every prompt, screens all of them against the cache as a
         single matrix-matrix product, then thresholds each row — the
         batched analogue of calling :meth:`decide` per prompt.  Scheduler
         latency is still charged per request (each request pays its own
-        embed + scan).  A singleton batch flows through the cache's exact
-        matrix-vector path and is bit-identical to :meth:`decide`; larger
-        batches use the matrix-matrix BLAS kernel, whose similarities can
-        differ from the sequential ones in the last ulp.
+        embed + scan).  The cache returns each row's canonical best
+        entry and similarity, so every batch size is bit-identical to
+        calling :meth:`decide` per prompt.
         """
         if not prompts:
             return []
         if len(prompts) == 1:
             # Singleton batches are the common case on real traces; the
-            # sequential path is bit-identical and skips the batch-matrix
-            # assembly entirely.
+            # sequential path skips the batch-matrix assembly entirely.
             return [self.decide(prompts[0], now, keep_candidates)]
         queries = self._retrieval.query_embeddings(prompts)
         latency = self._embed_latency_s + self._cache.retrieval_latency_s()

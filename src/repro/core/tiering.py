@@ -44,7 +44,15 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ann import BLOCK_DTYPES, IVFIndex, IVFParams, IVFState
+from repro.core.ann import (
+    BLOCK_DTYPES,
+    IVFIndex,
+    IVFParams,
+    IVFState,
+    ScreenMargin,
+    rerank_rows,
+    unit_query,
+)
 from repro.core.cache import (
     RETRIEVAL_SECONDS_PER_ENTRY,
     CacheEntry,
@@ -455,6 +463,9 @@ class TieredVectorCache:
         self._cursor = 0  # FIFO ring position: next insert/evict slot
         self._n_live = 0
         self._embedding_sum = np.zeros(embed_dim)
+        # Covers every row the re-ranks screen in float64.
+        # snap: derived (rebuilt from the cold stream on restore)
+        self._margin = ScreenMargin(embed_dim, np.float64)
         # Hot tier: exact f64 rows for the frequently-hit entries.
         # snap: derived (refilled from the cold file on restore)
         self._hot_store = np.zeros((self._hot_capacity, embed_dim))
@@ -642,6 +653,7 @@ class TieredVectorCache:
         self._live[slot] = True
         self._n_live += 1
         self._embedding_sum += emb
+        self._margin.grow(emb)
         self._index.add(slot, emb)
         self._cursor = (slot + 1) % self._capacity
         self.last_inserted = self._view(slot)
@@ -785,6 +797,7 @@ class TieredVectorCache:
             )
             self._live[slots] = True
             self._embedding_sum += chunk.sum(axis=0)
+            self._margin.grow_rows(chunk)
             total += n
         self._n_live = total
         self._cursor = total % self._capacity
@@ -809,14 +822,16 @@ class TieredVectorCache:
     # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
-    def _exact_best(
-        self, query_unit: np.ndarray
-    ) -> Tuple[int, float]:
-        """Exact fallback scan (untrained index / empty probe set)."""
+    def _exact_topk(self, query_unit: np.ndarray, k: int):
+        """Exact fallback scan (untrained index / empty probe set): the
+        canonical top-``k`` over every live row, as entry views."""
         slots = np.flatnonzero(self._live)
-        sims = self._rows[slots] @ query_unit
-        best = int(np.argmax(sims))
-        return int(slots[best]), float(sims[best])
+        return [
+            (self._view(int(slots[i])), sim)
+            for i, sim in rerank_rows(
+                self._rows[slots], query_unit, k, self._margin.value
+            )
+        ]
 
     def retrieve(self, query: np.ndarray):
         """Most-similar entry view and its exact cosine similarity.
@@ -829,18 +844,17 @@ class TieredVectorCache:
         self.lookups += 1
         if self._n_live == 0:
             return None, 0.0
-        qnorm = math.sqrt(float(np.dot(query, query)))
-        if qnorm == 0.0:
+        query_unit = unit_query(query)
+        if query_unit is None:
             return None, 0.0
-        query_unit = query / qnorm
         if self._index.ready(self._n_live):
-            found = self._index.search(query_unit)
+            found = self._index.search(query_unit, self._margin.value)
             if found is not None:
                 slot, sim = found
                 return self._view(slot), sim
             # Every probed cell empty/tombstoned: exact fallback.
-        slot, sim = self._exact_best(query_unit)
-        return self._view(slot), sim
+        [best] = self._exact_topk(query_unit, 1)
+        return best
 
     def retrieve_topk(self, query: np.ndarray, k: int):
         """The ``k`` most-similar live entries, best first."""
@@ -851,28 +865,19 @@ class TieredVectorCache:
         n_live = self._n_live
         if n_live == 0:
             return []
-        qnorm = math.sqrt(float(np.dot(query, query)))
-        if qnorm == 0.0:
+        query_unit = unit_query(query)
+        if query_unit is None:
             return []
-        query_unit = query / qnorm
         if self._index.ready(n_live):
-            found = self._index.search_topk(query_unit, k)
+            found = self._index.search_topk(
+                query_unit, k, self._margin.value
+            )
             if found:
                 return [
                     (self._view(slot), sim) for slot, sim in found
                 ]
             # Every probed cell empty/tombstoned: exact fallback.
-        slots = np.flatnonzero(self._live)
-        sims = self._rows[slots] @ query_unit
-        k_eff = min(k, n_live)
-        if k_eff < sims.shape[0]:
-            top = np.argpartition(sims, -k_eff)[-k_eff:]
-        else:
-            top = np.arange(sims.shape[0])
-        top = top[np.argsort(sims[top])[::-1]][:k_eff]
-        return [
-            (self._view(int(slots[i])), float(sims[i])) for i in top
-        ]
+        return self._exact_topk(query_unit, k)
 
     def retrieve_batch(self, queries: np.ndarray):
         """Best match per row of ``queries``.
@@ -992,6 +997,7 @@ class TieredVectorCache:
         self._tier_policy.restore_state(state.tier_policy_state)
         self._cold.rewind(state.cold_rows)
         self._index.restore_state(state.index_state)
+        self._margin.reset()
         self._refill_from_cold()
         self._hot_view = [None] * self._capacity
         for slot in np.flatnonzero(self._hot_row >= 0):
@@ -1013,7 +1019,8 @@ class TieredVectorCache:
         self.demotions = state.demotions
 
     def _refill_from_cold(self) -> None:
-        """Stream the cold extent once, refilling blocks + hot rows.
+        """Stream the cold extent once, refilling blocks, hot rows and
+        the screen margin.
 
         Live slots are matched to stream positions through their
         (sorted, unique) cold rows; tombstoned block rows stay zero —
@@ -1038,6 +1045,7 @@ class TieredVectorCache:
             hot = hot_rows >= 0
             if hot.any():
                 self._hot_store[hot_rows[hot]] = emb[hot]
+            self._margin.grow_rows(emb)
             self._index.refill_rows(slots, emb)
 
     def clear(self) -> None:
@@ -1060,6 +1068,7 @@ class TieredVectorCache:
         self._cursor = 0
         self._n_live = 0
         self._embedding_sum[:] = 0.0
+        self._margin.reset()
         self._hot_free = list(range(self._hot_capacity - 1, -1, -1))
         self._hot_view = [None] * self._capacity
         self._tier_policy = make_eviction_policy(

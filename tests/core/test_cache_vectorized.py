@@ -1,16 +1,20 @@
 """Vectorized retrieval equivalence and the eviction-policy registry.
 
-The retrieval core replaced a full ``np.argsort`` scan with a masked
-vectorized ``argmax``; these tests pin the new path to a reference
-implementation of the old one on randomized caches (including dead slots
-and adversarial all-negative similarities), and pin the eviction order of
-every policy in the registry.
+The retrieval core screens every slot with one vectorized product and
+re-scores only the near-winners; these tests pin it, bit for bit, to a
+brute-force argsort over the canonical per-entry similarity on
+randomized caches (including dead slots, duplicate and ulp-apart rows,
+and adversarial all-negative similarities), and pin the eviction order
+of every policy in the registry.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._rng import rng_for, unit_vector
+from repro.core.ann import IVFParams
 from repro.core.cache import (
     EVICTION_POLICIES,
     EvictionPolicy,
@@ -26,20 +30,27 @@ def _vec(key):
     return unit_vector(rng_for("vec-cache-test", key), DIM)
 
 
-def _reference_argsort_retrieve(cache, query):
-    """The pre-vectorization retrieval: full descending argsort, then the
-    first live slot — the behaviour the masked argmax must reproduce."""
-    if len(cache) == 0:
-        return None, 0.0
+def _reference_ranking(cache, query):
+    """Brute force: every live entry with its canonical similarity
+    ``float(np.dot(embedding, unit query))``, best first, lowest slot
+    breaking exact ties."""
     qnorm = float(np.linalg.norm(query))
-    if qnorm == 0.0:
-        return None, 0.0
-    sims = cache._matrix @ (query / qnorm)
-    for slot in np.argsort(sims)[::-1]:
-        entry = cache._entries[int(slot)]
-        if entry is not None:
-            return entry, float(sims[int(slot)])
-    return None, 0.0
+    if len(cache) == 0 or qnorm == 0.0:
+        return []
+    qn = query / qnorm
+    scored = [
+        (float(np.dot(e.embedding, qn)), cache._slot_of[e.entry_id], e)
+        for e in cache.entries()
+    ]
+    ranked = sorted(scored, key=lambda t: (-t[0], t[1]))
+    return [(e, sim) for sim, _, e in ranked]
+
+
+def _reference_argsort_retrieve(cache, query):
+    """The brute-force canonical argmax the screened scan must
+    reproduce bit for bit."""
+    ranking = _reference_ranking(cache, query)
+    return ranking[0] if ranking else (None, 0.0)
 
 
 def _randomized_cache(seed, capacity, n_inserts, policy="fifo"):
@@ -120,9 +131,7 @@ class TestRetrieveTopK:
             reverse=True,
         )
         top = cache.retrieve_topk(query, k=4)
-        assert [
-            (round(s, 12), e.entry_id) for e, s in top
-        ] == [(round(s, 12), i) for s, i in brute[:4]]
+        assert [(s, e.entry_id) for e, s in top] == brute[:4]
 
     def test_k_larger_than_occupancy(self):
         cache = VectorCache(capacity=8, embed_dim=DIM)
@@ -157,7 +166,7 @@ class TestRetrieveBatch:
         for i, (entry, sim) in enumerate(batched):
             ref_entry, ref_sim = cache.retrieve(queries[i])
             assert entry is ref_entry
-            assert np.isclose(sim, ref_sim, rtol=0, atol=1e-12)
+            assert sim == ref_sim
 
     def test_zero_rows_and_empty_cache(self):
         cache = VectorCache(capacity=4, embed_dim=DIM)
@@ -174,6 +183,100 @@ class TestRetrieveBatch:
             cache.retrieve_batch(np.zeros((2, DIM + 1)))
         with pytest.raises(ValueError):
             cache.retrieve_batch(np.zeros(DIM))
+
+
+def _nudge(vec, rng):
+    """``vec`` with a few components moved 1-2 ulps: a near-tie that
+    only a correct screen margin keeps on the shortlist."""
+    out = vec.copy()
+    for j in rng.choice(out.size, size=3, replace=False):
+        toward = np.inf if rng.random() < 0.5 else -np.inf
+        for _ in range(int(rng.integers(1, 3))):
+            out[j] = np.nextafter(out[j], toward)
+    return out
+
+
+#: Backends under test: the float32 screen, the IVF backend's float64
+#: exact fallback (never trains), and a trained IVF index probing every
+#: cell with a re-rank shortlist as wide as the cache.
+_BACKENDS = {
+    "exact": lambda cap: dict(backend="exact"),
+    "ivf-fallback": lambda cap: dict(
+        backend="ivf", ann=IVFParams(nlist=2, train_min=10**6)
+    ),
+    "ivf-full": lambda cap: dict(
+        backend="ivf",
+        ann=IVFParams(nlist=2, nprobe=2, train_min=2, rerank=cap),
+    ),
+}
+
+
+class TestCanonicalRetrievalProperty:
+    """Every exact path returns the brute-force canonical argmax."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        capacity=st.integers(1, 24),
+        n_inserts=st.integers(0, 40),
+        dim=st.sampled_from([3, 50]),
+        backend=st.sampled_from(sorted(_BACKENDS)),
+        non_unit=st.booleans(),
+        positive=st.booleans(),
+    )
+    def test_paths_match_bruteforce(
+        self, seed, capacity, n_inserts, dim, backend, non_unit, positive
+    ):
+        rng = rng_for("canonical-property", seed)
+        cache = VectorCache(
+            capacity=capacity, embed_dim=dim, **_BACKENDS[backend](capacity)
+        )
+        inserted = []
+        for i in range(n_inserts):
+            pick = rng.random()
+            if inserted and pick < 0.2:
+                vec = inserted[int(rng.integers(len(inserted)))].copy()
+            elif inserted and pick < 0.45:
+                vec = _nudge(inserted[int(rng.integers(len(inserted)))], rng)
+            else:
+                vec = rng.standard_normal(dim)
+                vec /= np.linalg.norm(vec)
+                if non_unit:
+                    vec *= rng.uniform(0.25, 4.0)
+                if positive:
+                    vec = np.abs(vec)
+            inserted.append(vec)
+            cache.insert(i, vec, now=float(i))
+
+        queries = [np.zeros(dim)]
+        for _ in range(6):
+            q = rng.standard_normal(dim)
+            # All-negative similarities when every row is non-negative.
+            queries.append(-np.abs(q) if positive else q)
+        for vec in inserted[-4:]:
+            queries.append(vec.copy())  # exact duplicate / ulp-pair ties
+        for query in queries:
+            ranking = _reference_ranking(cache, query)
+            entry, sim = cache.retrieve(query)
+            if not ranking:
+                assert (entry, sim) == (None, 0.0)
+                assert cache.retrieve_topk(query, 3) == []
+                continue
+            ref_entry, ref_sim = ranking[0]
+            assert entry is ref_entry
+            assert sim == ref_sim
+            for k in (1, 3):
+                top = cache.retrieve_topk(query, k)
+                assert [(e.entry_id, s) for e, s in top] == [
+                    (e.entry_id, s) for e, s in ranking[:k]
+                ]
+        batch = np.stack(queries)
+        singles = [cache.retrieve(q) for q in queries]
+        batched = cache.retrieve_batch(batch)
+        assert len(batched) == len(singles)
+        for (be, bs), (se, ss) in zip(batched, singles):
+            assert be is se
+            assert bs == ss
 
 
 class TestEvictionPolicyRegistry:

@@ -35,12 +35,16 @@ from repro.core.tiering import (
 DIM = 16
 
 
-def embeddings(n: int, seed: str = "tiering-test") -> np.ndarray:
-    rows = rng_for(seed, n, DIM).standard_normal((n, DIM))
+def embeddings(
+    n: int, seed: str = "tiering-test", dim: int = DIM
+) -> np.ndarray:
+    rows = rng_for(seed, n, dim).standard_normal((n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def exact_tiered(capacity: int, **tiering_kw) -> TieredVectorCache:
+def exact_tiered(
+    capacity: int, embed_dim: int = DIM, **tiering_kw
+) -> TieredVectorCache:
     """A tiered cache parameterized to be *exactly* exact: every cell
     probed and a shortlist as wide as the cache, so the f64 re-rank
     covers every live entry."""
@@ -48,7 +52,7 @@ def exact_tiered(capacity: int, **tiering_kw) -> TieredVectorCache:
     kw.update(tiering_kw)
     return TieredVectorCache(
         capacity=capacity,
-        embed_dim=DIM,
+        embed_dim=embed_dim,
         tiering=TieredCacheConfig(**kw),
         ann=IVFParams(nlist=8, nprobe=8, train_min=32, seed="tier-t"),
     )
@@ -212,14 +216,16 @@ class TestColdStore:
 # Retrieval parity with the exact cache
 # ----------------------------------------------------------------------
 class TestExactParity:
-    N, CAP = 600, 400
+    """Exact == tiered bit for bit at the real embedding dimension."""
+
+    N, CAP, D = 600, 400, 50
 
     def _pair(self):
-        data = embeddings(self.N, seed="parity")
+        data = embeddings(self.N, seed="parity", dim=self.D)
         exact = VectorCache(
-            capacity=self.CAP, embed_dim=DIM, policy="fifo"
+            capacity=self.CAP, embed_dim=self.D, policy="fifo"
         )
-        tiered = exact_tiered(self.CAP, hot_capacity=40)
+        tiered = exact_tiered(self.CAP, embed_dim=self.D, hot_capacity=40)
         for i in range(self.N):
             exact.insert(i, data[i], now=float(i))
             tiered.insert(i, data[i], now=float(i))
@@ -227,7 +233,7 @@ class TestExactParity:
 
     def test_top1_matches_exact_after_churn(self):
         data, exact, tiered = self._pair()
-        queries = embeddings(60, seed="parity-q")
+        queries = embeddings(150, seed="parity-q", dim=self.D)
         for q in queries:
             e_entry, e_sim = exact.retrieve(q)
             t_entry, t_sim = tiered.retrieve(q)
@@ -236,7 +242,7 @@ class TestExactParity:
 
     def test_topk_matches_exact(self):
         data, exact, tiered = self._pair()
-        for q in embeddings(20, seed="parity-topk"):
+        for q in embeddings(100, seed="parity-topk", dim=self.D):
             e_top = exact.retrieve_topk(q, 5)
             t_top = tiered.retrieve_topk(q, 5)
             assert [s for _, s in t_top] == [s for _, s in e_top]
@@ -245,14 +251,16 @@ class TestExactParity:
             ]
 
     def test_returned_similarity_is_exact_dot(self):
-        data, _, tiered = self._pair()
-        q = embeddings(1, seed="parity-sim")[0]
-        entry, sim = tiered.retrieve(q)
-        assert sim == float(entry.embedding @ q)
+        data, exact, tiered = self._pair()
+        for q in embeddings(150, seed="parity-sim", dim=self.D):
+            qn = q / np.linalg.norm(q)
+            for cache in (exact, tiered):
+                entry, sim = cache.retrieve(q)
+                assert sim == float(entry.embedding @ qn)
 
     def test_batch_matches_sequential(self):
         _, _, tiered = self._pair()
-        queries = embeddings(10, seed="parity-batch")
+        queries = embeddings(10, seed="parity-batch", dim=self.D)
         batched = tiered.retrieve_batch(queries)
         for i, (entry, sim) in enumerate(batched):
             # retrieve_batch routes through retrieve per row.
