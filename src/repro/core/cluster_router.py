@@ -64,6 +64,7 @@ from repro.core.journal import (
     EventJournal,
     ReplicaState,
     _copy_store,
+    _HEAP_HANDLERS,
     _HEAP_KINDS,
     _replica_fingerprint,
 )
@@ -74,7 +75,13 @@ from repro.core.retrieval import (
     TextToImageRetrieval,
     TextToTextRetrieval,
 )
-from repro.core.serving import BaseServingSystem, MoDMSystem, ServingReport
+from repro.core.serving import (
+    BaseServingSystem,
+    MoDMSystem,
+    ServingReport,
+    schedule_arrival_cohorts,
+    store_makespan,
+)
 from repro.metrics.latency import percentile
 from repro.embedding.space import SemanticSpace
 from repro.workloads.prompts import Prompt
@@ -793,7 +800,7 @@ class ClusterServingSystem:
         self.transfers: List[TransferEvent] = []
         self._fleet_state: Optional[_FleetState] = None
         self._failures: List[FailureRecord] = []
-        self.journal: Optional[EventJournal] = None
+        self.journal = EventJournal()
         self.snapshots: List["ClusterSnapshot"] = []
         #: plan time -> failure-event indices firing at that instant
         self._failure_schedule: Dict[float, List[int]] = {}
@@ -842,14 +849,7 @@ class ClusterServingSystem:
         self.routed_counts = [0] * len(self.replicas)
         self.transfers = []
         self._failures = []
-        self.journal = (
-            EventJournal()
-            if (
-                self.routing.failures is not None
-                or self.routing.journal
-            )
-            else None
-        )
+        self.journal = EventJournal()
         self.snapshots = []
         self._failure_schedule = {}
         self._probe_schedule = {}
@@ -872,7 +872,9 @@ class ClusterServingSystem:
         # fired from the loop's timeline lane.
         records = self.request_store.extend(list(trace))
         self.records = records
-        self._install_trace_timeline(records)
+        schedule_arrival_cohorts(
+            loop, self.request_store, records, self._arrive_cohort
+        )
         for replica in self.replicas:
             replica._on_run_start()
         if self.routing.failures is not None:
@@ -891,13 +893,9 @@ class ClusterServingSystem:
             loop.schedule_in(
                 self.routing.autoscale_period_s, self._autoscale_tick
             )
-        if (
-            self.journal is not None
-            and self.routing.snapshot_period_s > 0.0
-        ):
+        if self.routing.snapshot_period_s > 0.0:
             self._schedule_cluster_snapshot()
-        loop.run(until=until)
-        return self._build_report(trace)
+        return self.resume(trace, until=until)
 
     def resume(
         self, trace: Trace, until: Optional[float] = None
@@ -911,28 +909,6 @@ class ClusterServingSystem:
         self.loop.run(until=until)
         return self._build_report(trace)
 
-    def _install_trace_timeline(
-        self, records: Sequence[RequestRecord]
-    ) -> None:
-        """Cohort the store's arrivals onto the shared timeline lane.
-
-        ``records`` must be the fleet store's full row list (both
-        callers — ``run`` and ``ClusterSnapshot.restore`` — pass it).
-        The lane raises ``ValueError`` on arrivals out of time order.
-        """
-        if not records:
-            return
-        arrivals = self.request_store.column("arrival_s")
-        starts = np.flatnonzero(
-            np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
-        )
-        bounds = np.append(starts, len(records)).tolist()
-
-        def fire_cohort(now: float, i: int) -> None:
-            self._arrive_cohort(records[bounds[i] : bounds[i + 1]], now)
-
-        self.loop.schedule_timeline(arrivals[starts], fire_cohort)
-
     def _arrive_cohort(
         self, records: Sequence[RequestRecord], now: float
     ) -> None:
@@ -944,7 +920,7 @@ class ClusterServingSystem:
         :meth:`_arrive_batch` directly, so replay can tell trace
         cohorts from failure-induced re-routes.
         """
-        if self.journal is not None and records:
+        if records:
             self.journal.append(
                 now, ARRIVAL, a=records[0].request_id, b=len(records)
             )
@@ -972,7 +948,7 @@ class ClusterServingSystem:
                 records, [replicas[i] for i in alive]
             )
             indices = [alive[j] for j in sub]
-        if self.journal is not None and records:
+        if records:
             self.journal.append(
                 now, ROUTE, a=records[0].request_id, b=len(records)
             )
@@ -1053,10 +1029,7 @@ class ClusterServingSystem:
                 hit_rate_before=hit_before,
             )
             self._failures.append(record)
-            if self.journal is not None:
-                self.journal.append(
-                    now, KILL, a=victim, b=len(victim_orphans)
-                )
+            self.journal.append(now, KILL, a=victim, b=len(victim_orphans))
             killed.append(record)
             orphans.extend(victim_orphans)
         if self.routing.migration_policy != "none":
@@ -1109,14 +1082,9 @@ class ClusterServingSystem:
         for dst in survivors:
             if counts[dst]:
                 migrated += counts[dst]
-                if self.journal is not None:
-                    self.journal.append(
-                        now,
-                        MIGRATE,
-                        a=dst,
-                        b=counts[dst],
-                        x=float(dead_idx),
-                    )
+                self.journal.append(
+                    now, MIGRATE, a=dst, b=counts[dst], x=float(dead_idx)
+                )
         return migrated
 
     def _fail_restart(self, event, now: float) -> None:
@@ -1150,13 +1118,9 @@ class ClusterServingSystem:
             record = self._failures[rec_index]
             record.restart_time_s = now
             record.warm = cache_state is not None
-        if self.journal is not None:
-            self.journal.append(
-                now,
-                RESTART,
-                a=idx,
-                b=1 if cache_state is not None else 0,
-            )
+        self.journal.append(
+            now, RESTART, a=idx, b=1 if cache_state is not None else 0
+        )
         if rec_index >= 0:
             # Measure the recovered hit rate one window out, through a
             # bound method keyed by fire time so pending probes survive
@@ -1189,10 +1153,7 @@ class ClusterServingSystem:
     def _cluster_snapshot_tick(self, now: float) -> None:
         if now != self._next_snapshot_s:
             return  # superseded by a restore since scheduling
-        if self.journal is None or (
-            self._fleet_state is not None
-            and self._fleet_state.all_done
-        ):
+        if self._fleet_state.all_done:
             return
         # Journal the marker and schedule the successor *before* the
         # capture so the snapshot itself carries both — a restored
@@ -1262,14 +1223,9 @@ class ClusterServingSystem:
                             dst_replica=dst,
                         )
                     )
-                    if self.journal is not None:
-                        self.journal.append(
-                            now,
-                            TRANSFER,
-                            a=worker_id,
-                            b=dst,
-                            x=float(src),
-                        )
+                    self.journal.append(
+                        now, TRANSFER, a=worker_id, b=dst, x=float(src)
+                    )
                 if movable:
                     touched.add(dst)
         for dst in sorted(touched):
@@ -1299,11 +1255,7 @@ class ClusterServingSystem:
         energy splits are approximate whenever ``transfers`` is
         non-empty.  The fleet energy total is exact regardless.
         """
-        comp = self.request_store.column("completion_s")
-        finished = comp[comp == comp]
-        makespan = (
-            float(finished.max()) if finished.size else self.loop.now
-        )
+        makespan = store_makespan(self.request_store, self.loop.now)
         meter = EnergyMeter()
         per_replica: List[ServingReport] = []
         for replica in self.replicas:
@@ -1337,6 +1289,7 @@ class ClusterServingSystem:
         n_lost = 0
         n_rerouted = 0
         if self._failures:
+            comp = self.request_store.column("completion_s")
             shed = self.request_store.column("shed")
             n_lost = (
                 len(self.records)
@@ -1512,12 +1465,8 @@ class ClusterSnapshot:
                 if cluster._autoscaler is not None
                 else None
             ),
-            journal_entries=(
-                journal.entries() if journal is not None else []
-            ),
-            journal_digest=(
-                journal.digest() if journal is not None else ""
-            ),
+            journal_entries=journal.entries(),
+            journal_digest=journal.digest(),
             next_snapshot_s=cluster._next_snapshot_s,
             replica_states=[
                 ReplicaState.capture(replica)
@@ -1572,14 +1521,7 @@ class ClusterSnapshot:
                     "has no autoscaler"
                 )
             cluster._autoscaler.restore_state(self.autoscaler_state)
-        cluster.journal = (
-            EventJournal.from_entries(self.journal_entries)
-            if (
-                cluster.routing.failures is not None
-                or cluster.routing.journal
-            )
-            else None
-        )
+        cluster.journal = EventJournal.from_entries(self.journal_entries)
         cluster._next_snapshot_s = self.next_snapshot_s
         cluster.snapshots = []
         fleet = _FleetState(self.expected, cluster.replicas)
@@ -1596,14 +1538,13 @@ class ClusterSnapshot:
             state.restore(replica, store)
         # Reinstall the arrival timeline while the fresh clock is still
         # at zero, then jump clock and cursor to the snapshot instant.
-        if install_timeline and self.has_timeline and cluster.records:
-            cluster._install_trace_timeline(cluster.records)
+        if install_timeline and self.has_timeline:
+            schedule_arrival_cohorts(
+                loop, store, cluster.records, cluster._arrive_cohort
+            )
             loop.restore_clock(self.time_s, self.tl_idx)
         else:
             loop.restore_clock(self.time_s, 0)
-        replica_handlers = {
-            kind: name for name, kind in _HEAP_KINDS.items()
-        }
         cluster_handlers = {
             kind: name for name, kind in _CLUSTER_HEAP_KINDS.items()
         }
@@ -1612,8 +1553,7 @@ class ClusterSnapshot:
                 handler = getattr(cluster, cluster_handlers[kind])
             else:
                 handler = getattr(
-                    cluster.replicas[owner_idx],
-                    replica_handlers[kind],
+                    cluster.replicas[owner_idx], _HEAP_HANDLERS[kind]
                 )
             loop.schedule(time, handler)
 

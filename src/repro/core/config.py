@@ -346,10 +346,9 @@ class ClusterRoutingConfig:
     directly (the seed golden regression pins this), and the autoscaler
     never runs.
 
-    ``journal`` opts into a cluster-level event journal (arrival
-    cohorts, routing, kills/restarts, transfers, migrations) even
-    without a failure plan; a failure plan implies it.
-    ``snapshot_period_s > 0`` additionally captures a periodic
+    Every fleet run keeps a cluster-level event journal (arrival
+    cohorts, routing, kills/restarts, transfers, migrations).
+    ``snapshot_period_s > 0`` captures a periodic
     ``ClusterSnapshot`` — router policy state, autoscaler PID state,
     the shared clock, and every replica's full state — restorable into
     a fresh fleet that resumes bit-identically.  ``migration_policy``
@@ -371,7 +370,6 @@ class ClusterRoutingConfig:
     min_workers_per_replica: int = 1
     failures: Optional[FailurePlan] = None
     migration_policy: str = "none"
-    journal: bool = False
     snapshot_period_s: float = 0.0
 
     def __post_init__(self) -> None:

@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Deque,
     Dict,
     Iterator,
@@ -585,26 +586,23 @@ class BaseServingSystem:
         # per-arrival closures.
         records = self.request_store.extend(list(trace))
         self.records = records
-        if records:
-            self._schedule_trace_arrivals(records)
+        self._schedule_trace_arrivals(records)
         self._on_run_start()
-        self.loop.run(until=until)
-        makespan = self._makespan()
-        energy = EnergyMeter().measure(self.workers, makespan)
-        return self._build_report(trace, energy)
+        return self.resume(trace, until=until)
 
     def resume(
         self, trace: Trace, until: Optional[float] = None
     ) -> ServingReport:
-        """Continue a restored run to completion (no state reset).
+        """Drain the loop and assemble the report (no state reset).
 
-        The counterpart to :meth:`repro.core.journal.Snapshot.restore`:
-        arrivals after the snapshot instant are already in the loop (the
-        timeline lane was re-installed with the clock), so finishing the
-        run is just draining the loop and assembling the report.
+        :meth:`run` ends here, and so does a run restored by
+        :meth:`repro.core.journal.Snapshot.restore`: arrivals after the
+        snapshot instant are already in the loop (the timeline lane was
+        re-installed with the clock), so finishing the run is just
+        draining the loop and assembling the report.
         """
         self.loop.run(until=until)
-        makespan = self._makespan()
+        makespan = store_makespan(self.request_store, self.loop.now)
         energy = EnergyMeter().measure(self.workers, makespan)
         return self._build_report(trace, energy)
 
@@ -635,18 +633,6 @@ class BaseServingSystem:
         else:
             self.snapshots.append(Snapshot.capture(self))
 
-    def _makespan(self) -> float:
-        """Last completion time over this run's records (loop.now if none).
-
-        Single-engine runs own their store, so this is one masked numpy
-        max over the completion column rather than a record scan.
-        """
-        comp = self.request_store.column("completion_s")
-        finished = comp[comp == comp]
-        if finished.size:
-            return float(finished.max())
-        return self.loop.now
-
     def _build_report(
         self, trace: Trace, energy: EnergyReport
     ) -> ServingReport:
@@ -662,22 +648,10 @@ class BaseServingSystem:
     def _schedule_trace_arrivals(
         self, records: List[RequestRecord]
     ) -> None:
-        """Install a run's arrival cohorts on the loop's timeline lane.
-
-        Adjacent same-tick records form one cohort (the store rows are in
-        trace order, so cohort bounds come from one vectorized compare).
-        The lane raises ``ValueError`` on arrivals out of time order.
-        """
-        arrivals = self.request_store.column("arrival_s")
-        starts = np.flatnonzero(
-            np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
+        """Install a run's arrival cohorts on the loop's timeline lane."""
+        schedule_arrival_cohorts(
+            self.loop, self.request_store, records, self._arrive_cohort
         )
-        bounds = np.append(starts, len(records)).tolist()
-
-        def fire_cohort(now: float, i: int) -> None:
-            self._arrive_batch(records[bounds[i] : bounds[i + 1]], now)
-
-        self.loop.schedule_timeline(arrivals[starts], fire_cohort)
 
     def _arrive_cohort(
         self, records: Sequence[RequestRecord], now: float
@@ -1019,6 +993,49 @@ class BaseServingSystem:
 
     def _on_restart(self, now: float, cache_state) -> None:
         """Policy-state rebuild hook after :meth:`_restart`."""
+
+
+def schedule_arrival_cohorts(
+    loop: EventLoop,
+    store: RequestStore,
+    records: Sequence[RequestRecord],
+    deliver: Callable[[Sequence[RequestRecord], float], None],
+) -> None:
+    """Install ``store``'s arrival cohorts on ``loop``'s timeline lane.
+
+    ``records`` must be the store's full row list, in row order.
+    Adjacent same-tick rows form one cohort (the rows are in trace
+    order, so cohort bounds come from one vectorized compare), and each
+    fires as ``deliver(cohort, now)``.  The single engine and the fleet
+    both install their runs (and snapshot restores) through here.  The
+    lane raises ``ValueError`` on arrivals out of time order.
+    """
+    if not records:
+        return
+    arrivals = store.column("arrival_s")
+    starts = np.flatnonzero(
+        np.concatenate(([True], arrivals[1:] != arrivals[:-1]))
+    )
+    bounds = np.append(starts, len(records)).tolist()
+
+    def fire_cohort(now: float, i: int) -> None:
+        deliver(records[bounds[i] : bounds[i + 1]], now)
+
+    loop.schedule_timeline(arrivals[starts], fire_cohort)
+
+
+def store_makespan(store: RequestStore, now: float) -> float:
+    """Last completion time over ``store``'s rows (``now`` if none).
+
+    A run owns one columnar store (the single engine its own, a fleet
+    the shared one), so this is one masked numpy max over the completion
+    column rather than a record scan.
+    """
+    comp = store.column("completion_s")
+    finished = comp[comp == comp]
+    if finished.size:
+        return float(finished.max())
+    return now
 
 
 def _pop_fifo(queue: Deque[RequestRecord]) -> Optional[RequestRecord]:

@@ -37,12 +37,12 @@ def test_baseline_is_empty_for_core_and_cluster(repo_root):
 def test_mutation_dropped_capture_field_turns_red(
     repo_root, tmp_path
 ):
-    """Delete ``n_shed`` from ``Snapshot.capture`` — the exact slip the
-    rule exists to catch — and the analyzer must go red."""
+    """Delete ``n_shed`` from ``ReplicaState.capture`` — the exact slip
+    the rule exists to catch — and the analyzer must go red."""
     source = (
         repo_root / "src" / "repro" / "core" / "journal.py"
     ).read_text()
-    mutated = source.replace("n_shed=system._n_shed,\n", "")
+    mutated = source.replace("n_shed=replica._n_shed,\n", "")
     assert mutated != source, "mutation target not found"
 
     victim = tmp_path / "journal_mutated.py"
@@ -50,7 +50,7 @@ def test_mutation_dropped_capture_field_turns_red(
     module = ParsedModule.parse(victim, tmp_path)
     findings = list(SnapshotCoverageRule().check_module(module))
     assert any(
-        "Snapshot.n_shed" in f.message
+        "ReplicaState.n_shed" in f.message
         and "capture()" in f.message
         for f in findings
     ), [f.render() for f in findings]

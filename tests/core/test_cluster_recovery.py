@@ -259,7 +259,6 @@ def straight_fleet(space):
     routing = ClusterRoutingConfig(
         n_replicas=2,
         policy="round_robin",
-        journal=True,
         snapshot_period_s=30.0,
         migration_policy="round_robin",
         failures=FailurePlan(
@@ -315,22 +314,24 @@ class TestClusterSnapshot:
     def test_snapshot_requires_journal(self, space):
         with pytest.raises(ValueError, match="snapshot_period_s"):
             ClusterRoutingConfig(n_replicas=2, snapshot_period_s=-1.0)
-        # snapshot_period_s without journaling never captures: the off
-        # path stays off.
+        # The fleet journal is always on: a snapshot period alone, with
+        # no failure plan, journals the run and captures snapshots.
         system = modm_cluster(
             space,
             _modm_config(),
-            ClusterRoutingConfig(n_replicas=2),
+            ClusterRoutingConfig(n_replicas=2, snapshot_period_s=10.0),
         )
-        system.run(_trace(space, n=10, seed="off-path"))
-        assert system.journal is None
-        assert system.snapshots == []
+        system.run(_trace(space, n=20, seed="period-only"))
+        kinds = system.journal.kind_counts()
+        assert kinds["arrival"] > 0
+        assert system.snapshots
+        assert kinds["snapshot"] == len(system.snapshots)
 
     def test_journal_flag_without_failures_records_the_run(self, space):
         system = modm_cluster(
             space,
             _modm_config(),
-            ClusterRoutingConfig(n_replicas=2, journal=True),
+            ClusterRoutingConfig(n_replicas=2),
         )
         report = system.run(_trace(space, n=20, seed="journal-only"))
         kinds = system.journal.kind_counts()
