@@ -53,7 +53,7 @@ from repro.core.kselection import (
     modm_default_selector,
     nirvana_default_selector,
 )
-from repro.core.monitor import Allocation, GlobalMonitor, MonitorConfig
+from repro.core.monitor import Allocation, GlobalMonitor
 from repro.core.pid import PIDController
 from repro.core.request import Decision, RequestRecord, SLORejection
 from repro.core.retrieval import (
@@ -95,7 +95,6 @@ __all__ = [
     "LatentCache",
     "MoDMConfig",
     "MoDMSystem",
-    "MonitorConfig",
     "MonitorMode",
     "NirvanaSystem",
     "PIDController",

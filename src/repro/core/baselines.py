@@ -24,7 +24,7 @@ from repro.core.kselection import (
     scale_k_steps,
 )
 from repro.core.request import Decision, RequestRecord
-from repro.core.retrieval import TextToTextRetrieval
+from repro.core.retrieval import EMBED_LATENCY_S, TextToTextRetrieval
 from repro.core.serving import BaseServingSystem, ServingReport, _WorkItem
 from repro.core.slo import PathEstimate
 from repro.diffusion.latent import CachedLatent, SyntheticImage
@@ -132,7 +132,6 @@ class NirvanaSystem(BaseServingSystem):
         cache_capacity: int = 10_000,
         selector: Optional[KSelector] = None,
         latent_fetch_s: float = 3.0,
-        embed_latency_s: float = 0.01,
         seed: str = "run0",
         store_images: bool = True,
         slo: Optional[SLOPolicy] = None,
@@ -151,7 +150,6 @@ class NirvanaSystem(BaseServingSystem):
         )
         self._selector = selector or nirvana_default_selector()
         self._latent_fetch_s = latent_fetch_s
-        self._embed_latency_s = embed_latency_s
         if slo is not None:
             # Single-model serving: hits shorten service but there is no
             # cheaper model to degrade to, so the gate can only shed.
@@ -205,9 +203,7 @@ class NirvanaSystem(BaseServingSystem):
     ) -> None:
         # Same-tick arrivals score against the latent cache in one
         # batched retrieval (bit-identical to per-request lookups).
-        latency = (
-            self._embed_latency_s + self.cache.retrieval_latency_s()
-        )
+        latency = EMBED_LATENCY_S + self.cache.retrieval_latency_s()
         queries = self._retrieval.query_embeddings(
             [record.prompt for record in records]
         )
@@ -360,7 +356,6 @@ class PineconeSystem(BaseServingSystem):
         model: str = "sd3.5-large",
         cache_capacity: int = 10_000,
         serve_threshold: float = 0.87,
-        embed_latency_s: float = 0.01,
         seed: str = "run0",
         store_images: bool = True,
     ):
@@ -377,7 +372,6 @@ class PineconeSystem(BaseServingSystem):
             embed_dim=self._retrieval.embed_dim,
         )
         self._serve_threshold = serve_threshold
-        self._embed_latency_s = embed_latency_s
         self._queue: Deque[RequestRecord] = collections.deque()
 
     def _reset_runtime(self) -> None:
@@ -404,7 +398,7 @@ class PineconeSystem(BaseServingSystem):
     ) -> None:
         # Same-tick arrivals retrieve as one batched matrix product
         # (bit-identical to per-request lookups).
-        latency = self._embed_latency_s + self.cache.retrieval_latency_s()
+        latency = EMBED_LATENCY_S + self.cache.retrieval_latency_s()
         queries = self._retrieval.query_embeddings(
             [record.prompt for record in records]
         )

@@ -71,10 +71,7 @@ from repro.core.journal import (
 from repro.core.monitor import estimate_workloads
 from repro.core.pid import PIDController
 from repro.core.request import RequestRecord, RequestStore
-from repro.core.retrieval import (
-    TextToImageRetrieval,
-    TextToTextRetrieval,
-)
+from repro.core.retrieval import TextToImageRetrieval
 from repro.core.serving import (
     BaseServingSystem,
     MoDMSystem,
@@ -88,6 +85,23 @@ from repro.workloads.prompts import Prompt
 from repro.workloads.trace import Trace
 
 QueryEmbedder = Callable[[Prompt], np.ndarray]
+
+#: Cache-affinity spill rule: a request leaves its nearest replica for
+#: the least-loaded one when the nearest's load exceeds
+#: ``IMBALANCE_CAP x min_load + SPILL_SLACK``.
+IMBALANCE_CAP = 2.0
+SPILL_SLACK = 8
+
+#: Seconds between :class:`ReplicaAutoscaler` periods.
+AUTOSCALE_PERIOD_S = 120.0
+#: Seconds of per-replica history each autoscaler period reads.
+AUTOSCALE_WINDOW_S = 300.0
+#: PID gains damping each replica's worker share.
+AUTOSCALE_KP = 0.5
+AUTOSCALE_KI = 0.0
+AUTOSCALE_KD = 0.1
+#: Workers every replica keeps through autoscaler transfers.
+MIN_WORKERS_PER_REPLICA = 1
 
 
 # ----------------------------------------------------------------------
@@ -112,18 +126,6 @@ class RoutingPolicy:
     #: Whether :meth:`route` reads the per-replica centroid sketches;
     #: the router skips the per-arrival centroid reads otherwise.
     needs_centroids = False
-
-    @classmethod
-    def from_config(
-        cls, config: ClusterRoutingConfig
-    ) -> "RoutingPolicy":
-        """Build an instance wired to the config's tunables.
-
-        The base construction takes none; policies with knobs (the
-        affinity cap/slack) override this, so registered policies never
-        silently drop config parameters.
-        """
-        return cls()
 
     def reset(self) -> None:
         """Clear per-run state (round-robin counters)."""
@@ -222,7 +224,7 @@ class CacheAffinityRouting(RoutingPolicy):
 
     The affinity choice is overridden when it would pile load onto an
     already-hot replica: if the chosen replica's load exceeds
-    ``imbalance_cap x min_load + spill_slack`` the request spills to the
+    ``IMBALANCE_CAP x min_load + SPILL_SLACK`` the request spills to the
     least-loaded replica instead.  Requests without a usable embedding
     or centroids (cold caches, cache-less systems) also fall back to
     least-loaded.
@@ -230,25 +232,6 @@ class CacheAffinityRouting(RoutingPolicy):
 
     needs_query = True
     needs_centroids = True
-
-    @classmethod
-    def from_config(
-        cls, config: ClusterRoutingConfig
-    ) -> "CacheAffinityRouting":
-        return cls(
-            imbalance_cap=config.imbalance_cap,
-            spill_slack=config.spill_slack,
-        )
-
-    def __init__(
-        self, imbalance_cap: float = 2.0, spill_slack: int = 8
-    ) -> None:
-        if imbalance_cap < 1.0:
-            raise ValueError("imbalance_cap must be >= 1.0")
-        if spill_slack < 0:
-            raise ValueError("spill_slack must be non-negative")
-        self.imbalance_cap = imbalance_cap
-        self.spill_slack = spill_slack
 
     @staticmethod
     def _sketch_similarity(
@@ -291,9 +274,7 @@ class CacheAffinityRouting(RoutingPolicy):
         least = _least_loaded_index(loads)
         if best < 0:
             return least
-        if loads[best] > (
-            self.imbalance_cap * loads[least] + self.spill_slack
-        ):
+        if loads[best] > IMBALANCE_CAP * loads[least] + SPILL_SLACK:
             return least
         return best
 
@@ -307,7 +288,7 @@ def make_routing_policy(config: ClusterRoutingConfig) -> RoutingPolicy:
             f"unknown routing policy {config.policy!r}; "
             f"available: {sorted(ROUTING_POLICY_REGISTRY)}"
         ) from None
-    return cls.from_config(config)
+    return cls()
 
 
 # ----------------------------------------------------------------------
@@ -543,31 +524,21 @@ class ReplicaAutoscaler:
 
     Integerization is deterministic: floor + largest fractional
     remainder (lowest index breaking ties), every replica keeping at
-    least ``min_workers_per_replica``.
+    least ``MIN_WORKERS_PER_REPLICA``.
     """
 
-    def __init__(
-        self,
-        config: ClusterRoutingConfig,
-        initial_counts: Sequence[int],
-    ):
+    def __init__(self, initial_counts: Sequence[int]):
         if not initial_counts:
             raise ValueError("need at least one replica")
-        self._config = config  # snap: derived
         self._total = sum(initial_counts)  # snap: derived
-        self._min = config.min_workers_per_replica  # snap: derived
-        if self._min * len(initial_counts) > self._total:
+        if MIN_WORKERS_PER_REPLICA * len(initial_counts) > self._total:
             raise ValueError(
-                f"min_workers_per_replica={self._min} x "
+                f"MIN_WORKERS_PER_REPLICA={MIN_WORKERS_PER_REPLICA} x "
                 f"{len(initial_counts)} replicas exceeds the "
                 f"{self._total}-worker fleet"
             )
         self._pids = [
-            PIDController(
-                kp=config.autoscale_kp,
-                ki=config.autoscale_ki,
-                kd=config.autoscale_kd,
-            )
+            PIDController(kp=AUTOSCALE_KP, ki=AUTOSCALE_KI, kd=AUTOSCALE_KD)
             for _ in initial_counts
         ]
         self._smooth = [float(c) for c in initial_counts]
@@ -596,16 +567,14 @@ class ReplicaAutoscaler:
         self, replica: BaseServingSystem, now: float
     ) -> float:
         """One replica's demand signal, full-generations/min."""
-        window = replica.stats.window(
-            now, self._config.autoscale_window_s
-        )
+        window = replica.stats.window(now, AUTOSCALE_WINDOW_S)
         miss, hit = estimate_workloads(
             window,
             miss_backlog=replica.queue_depth(),
-            period_s=self._config.autoscale_period_s,
+            period_s=AUTOSCALE_PERIOD_S,
         )
         pressure = replica.stats.slo_window(
-            now, self._config.autoscale_window_s
+            now, AUTOSCALE_WINDOW_S
         ).pressure
         return (miss + hit) * (1.0 + pressure)
 
@@ -632,11 +601,11 @@ class ReplicaAutoscaler:
 
     def _integerize(self, floats: Sequence[float]) -> List[int]:
         n = len(floats)
-        counts = [max(self._min, math.floor(f)) for f in floats]
+        counts = [max(MIN_WORKERS_PER_REPLICA, math.floor(f)) for f in floats]
         while sum(counts) > self._total:
             # Shave the largest count above the floor (highest index
             # first among equals, so low replicas keep workers).
-            over = [i for i in range(n) if counts[i] > self._min]
+            over = [i for i in range(n) if counts[i] > MIN_WORKERS_PER_REPLICA]
             counts[max(over, key=lambda j: (counts[j], j))] -= 1
         remaining = self._total - sum(counts)
         if remaining > 0:
@@ -812,8 +781,7 @@ class ClusterServingSystem:
         """Fresh autoscaler state (PID, smoothed split) for a run."""
         if self.routing.autoscale and len(self.replicas) > 1:
             self._autoscaler = ReplicaAutoscaler(
-                self.routing,
-                [r._cluster.n_workers for r in self.replicas],
+                [r._cluster.n_workers for r in self.replicas]
             )
         else:
             self._autoscaler = None
@@ -890,9 +858,7 @@ class ClusterServingSystem:
             for time_s in sorted(self._failure_schedule):
                 loop.schedule(time_s, self._failure_tick)
         if self._autoscaler is not None:
-            loop.schedule_in(
-                self.routing.autoscale_period_s, self._autoscale_tick
-            )
+            loop.schedule_in(AUTOSCALE_PERIOD_S, self._autoscale_tick)
         if self.routing.snapshot_period_s > 0.0:
             self._schedule_cluster_snapshot()
         return self.resume(trace, until=until)
@@ -1176,9 +1142,7 @@ class ClusterServingSystem:
             return
         targets = self._autoscaler.desired(self.replicas, now)
         self._apply_targets(targets, now)
-        self.loop.schedule_in(
-            self.routing.autoscale_period_s, self._autoscale_tick
-        )
+        self.loop.schedule_in(AUTOSCALE_PERIOD_S, self._autoscale_tick)
 
     def _apply_targets(
         self, targets: Sequence[int], now: float
@@ -1624,11 +1588,7 @@ def modm_cluster(
     embedder: Optional[QueryEmbedder] = None
     batch_embedder = None
     if ROUTING_POLICY_REGISTRY[routing.policy].needs_query:
-        retrieval = (
-            TextToImageRetrieval(space)
-            if config.retrieval == "text-to-image"
-            else TextToTextRetrieval(space)
-        )
+        retrieval = TextToImageRetrieval(space)
         embedder = retrieval.query_embedding
         batch_embedder = retrieval.query_embeddings
     return ClusterServingSystem(

@@ -79,6 +79,10 @@ class SLOClass:
         return self.multiplier * solo_latency_s
 
 
+#: Seed namespace of :meth:`SLOPolicy.class_of`'s per-request class draw.
+SLO_CLASS_SEED = "slo-class"
+
+
 @dataclass(frozen=True)
 class SLOPolicy:
     """Opt-in SLO subsystem configuration (deadlines, admission, EDF).
@@ -101,10 +105,8 @@ class SLOPolicy:
     and violation accounting is reported, but every scheduling decision is
     identical to running without a policy.  ``classes`` are weighted by
     ``share``; each request is assigned a class deterministically by
-    hashing ``(assignment_seed, request_id)``, so traces re-serve
-    identically across runs and systems.  ``slack_margin_s`` is a safety
-    margin subtracted from the available slack in every feasibility check
-    (a path is "in time" only if it beats the deadline by the margin).
+    hashing ``(SLO_CLASS_SEED, request_id)``, so traces re-serve
+    identically across runs and systems.
     """
 
     classes: Tuple[SLOClass, ...] = (SLOClass(name="standard"),)
@@ -112,9 +114,6 @@ class SLOPolicy:
     admission: bool = True
     degrade: bool = True
     monitor_pressure: bool = True
-    degrade_threshold_shift: float = 0.05
-    slack_margin_s: float = 0.0
-    assignment_seed: str = "slo-class"
 
     def __post_init__(self) -> None:
         if not self.classes:
@@ -122,13 +121,6 @@ class SLOPolicy:
         names = [cls.name for cls in self.classes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO class names: {names}")
-        if self.slack_margin_s < 0:
-            raise ValueError("slack_margin_s must be non-negative")
-        if self.degrade_threshold_shift < 0:
-            raise ValueError(
-                "degrade_threshold_shift must be non-negative (it is "
-                "subtracted from the selector thresholds)"
-            )
 
     def class_named(self, name: str) -> SLOClass:
         for cls in self.classes:
@@ -144,9 +136,7 @@ class SLOPolicy:
         if len(self.classes) == 1:
             return self.classes[0]
         total = sum(cls.share for cls in self.classes)
-        draw = (
-            seed_for(self.assignment_seed, request_id) / 2**64
-        ) * total
+        draw = (seed_for(SLO_CLASS_SEED, request_id) / 2**64) * total
         acc = 0.0
         for cls in self.classes:
             acc += cls.share
@@ -330,16 +320,16 @@ class ClusterRoutingConfig:
       replica index breaking ties;
     * ``cache_affinity`` — the replica whose cache-centroid sketch is
       nearest the request embedding, capped by load imbalance: when the
-      chosen replica's load exceeds ``imbalance_cap x min_load +
-      spill_slack`` the request spills to the least-loaded replica.
+      chosen replica's load exceeds ``IMBALANCE_CAP x min_load +
+      SPILL_SLACK`` the request spills to the least-loaded replica.
 
     ``autoscale`` turns on the :class:`ReplicaAutoscaler`: every
-    ``autoscale_period_s`` it reads per-replica window stats (hit rate,
+    ``AUTOSCALE_PERIOD_S`` it reads per-replica window stats (hit rate,
     queue depth, SLO pressure) and moves idle workers between replicas
-    toward a demand-proportional split, PID-damped
-    (``autoscale_kp/ki/kd``) so a load blip does not thrash workers back
-    and forth.  Every replica always keeps at least
-    ``min_workers_per_replica`` workers.
+    toward a demand-proportional split, PID-damped so a load blip does
+    not thrash workers back and forth.  Every replica always keeps at
+    least ``MIN_WORKERS_PER_REPLICA`` workers.  (The constants live in
+    :mod:`repro.core.cluster_router`.)
 
     With ``n_replicas=1`` the cluster layer is pass-through: every
     decision is bit-for-bit identical to running the wrapped engine
@@ -359,15 +349,7 @@ class ClusterRoutingConfig:
 
     n_replicas: int = 1
     policy: str = "round_robin"
-    imbalance_cap: float = 2.0
-    spill_slack: int = 8
     autoscale: bool = False
-    autoscale_period_s: float = 120.0
-    autoscale_window_s: float = 300.0
-    autoscale_kp: float = 0.5
-    autoscale_ki: float = 0.0
-    autoscale_kd: float = 0.1
-    min_workers_per_replica: int = 1
     failures: Optional[FailurePlan] = None
     migration_policy: str = "none"
     snapshot_period_s: float = 0.0
@@ -406,14 +388,6 @@ class ClusterRoutingConfig:
                 f"unknown routing policy {self.policy!r}; "
                 f"available: {list(ROUTING_POLICIES)}"
             )
-        if self.imbalance_cap < 1.0:
-            raise ValueError("imbalance_cap must be >= 1.0")
-        if self.spill_slack < 0:
-            raise ValueError("spill_slack must be non-negative")
-        if self.autoscale_period_s <= 0 or self.autoscale_window_s <= 0:
-            raise ValueError("autoscale periods must be positive")
-        if self.min_workers_per_replica < 1:
-            raise ValueError("min_workers_per_replica must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -444,13 +418,12 @@ class MoDMConfig:
     ``cache_policy`` selects eviction from the cache's policy registry
     (``fifo`` — the paper's sliding window — ``lru``, or ``utility``).
 
-    ``retrieval_backend`` selects the similarity-scan implementation:
-    ``"exact"`` (default) is the masked-argmax full scan, bit-for-bit
-    the pre-index behavior; ``"ivf"`` puts the IVF approximate index
-    (:mod:`repro.core.ann`) behind the cache for sublinear lookups at
-    million-entry scale.  ``ann_nlist`` / ``ann_nprobe`` /
-    ``ann_train_min`` tune the index (zeros mean auto-sizing from the
-    cache capacity); all are ignored by the exact backend.
+    Retrieval is always text-to-image (§3.2).  ``retrieval_backend``
+    selects the similarity-scan implementation: ``"exact"`` (default)
+    is the masked-argmax full scan, bit-for-bit the pre-index behavior;
+    ``"ivf"`` puts the IVF approximate index (:mod:`repro.core.ann`)
+    behind the cache for sublinear lookups at million-entry scale, its
+    cells and training gate auto-sized from the cache capacity.
 
     ``slo`` opts into the SLO subsystem (deadline-aware dispatch,
     admission control, graceful degradation).  ``None`` — the default —
@@ -463,8 +436,8 @@ class MoDMConfig:
     embedding — the ten-million-entry layout.  ``None`` — the default —
     keeps the flat single-matrix cache bit-for-bit.  Tiering requires
     ``retrieval_backend="ivf"`` (the scan tier *is* the IVF blocks)
-    and ``cache_policy="fifo"`` (capacity eviction is a FIFO ring; the
-    tiering config's ``tier_policy`` is what drives hot-tier demotion).
+    and ``cache_policy="fifo"`` (capacity eviction is a FIFO ring; hot-tier
+    demotion has its own policy, :data:`repro.core.tiering.TIER_POLICY`).
 
     ``image_id_len_cap`` bounds image-id lineage growth: a refined
     image's id embeds its source's full id, so under cache admission
@@ -484,14 +457,9 @@ class MoDMConfig:
     cache_capacity: int = 10_000
     cache_policy: str = "fifo"
     cache_admission: CacheAdmission = CacheAdmission.ALL
-    retrieval: str = "text-to-image"
     retrieval_backend: str = "exact"
-    ann_nlist: int = 0
-    ann_nprobe: int = 8
-    ann_train_min: int = 0
     monitor_mode: MonitorMode = MonitorMode.THROUGHPUT
     use_pid: bool = True
-    embed_latency_s: float = 0.01
     threshold_shift: float = 0.0
     seed: str = "run0"
     store_images: bool = True
@@ -510,24 +478,12 @@ class MoDMConfig:
                 f"unknown cache_policy {self.cache_policy!r}; "
                 f"available: {sorted(EVICTION_POLICIES)}"
             )
-        if self.retrieval not in ("text-to-image", "text-to-text"):
-            raise ValueError(
-                "retrieval must be 'text-to-image' or 'text-to-text'"
-            )
         if self.retrieval_backend not in RETRIEVAL_BACKENDS:
             raise ValueError(
                 f"unknown retrieval_backend "
                 f"{self.retrieval_backend!r}; "
                 f"available: {list(RETRIEVAL_BACKENDS)}"
             )
-        if self.ann_nlist < 0 or self.ann_train_min < 0:
-            raise ValueError(
-                "ann_nlist/ann_train_min must be >= 0 (0 = auto)"
-            )
-        if self.ann_nprobe < 1:
-            raise ValueError("ann_nprobe must be >= 1")
-        if self.embed_latency_s < 0:
-            raise ValueError("embed_latency_s must be non-negative")
         if self.image_id_len_cap is not None and self.image_id_len_cap < 1:
             raise ValueError("image_id_len_cap must be >= 1 (or None)")
         if self.cache_tiering is not None:
@@ -539,6 +495,5 @@ class MoDMConfig:
             if self.cache_policy != "fifo":
                 raise ValueError(
                     "cache_tiering requires cache_policy='fifo' "
-                    "(capacity eviction is a FIFO ring; use "
-                    "cache_tiering.tier_policy for hot-tier demotion)"
+                    "(capacity eviction is a FIFO ring)"
                 )

@@ -15,7 +15,8 @@ A PID controller (``Kp=0.6, Ki=0.05, Kd=0.05``) damps the heuristic's
 period-to-period jumps.  On top of Algorithm 1, the monitor picks *which*
 small model to serve with: the highest-quality candidate whose capacity
 meets demand, falling back to faster ones under load (the SDXL -> SANA
-switch of Fig. 10).
+switch of Fig. 10).  The period, window, PID gains and SLO-pressure gain
+are the module constants below.
 """
 
 from __future__ import annotations
@@ -31,33 +32,24 @@ from repro.core.pid import PIDController
 from repro.diffusion.registry import ModelSpec
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Tuning of the Global Monitor."""
-
-    mode: MonitorMode = MonitorMode.THROUGHPUT
-    period_s: float = 60.0
-    window_s: float = 300.0
-    kp: float = 0.6
-    ki: float = 0.05
-    kd: float = 0.05
-    use_pid: bool = True
-    #: How strongly SLO pressure (0-1) shifts the split toward the small
-    #: model: the large-worker target is scaled by ``1 - gain * pressure``.
-    slo_pressure_gain: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.period_s <= 0 or self.window_s <= 0:
-            raise ValueError("period_s and window_s must be positive")
-        if not 0.0 <= self.slo_pressure_gain <= 1.0:
-            raise ValueError("slo_pressure_gain must be in [0, 1]")
+#: Seconds between monitoring periods (allocation ticks).
+MONITOR_PERIOD_S = 60.0
+#: Seconds of history each period's window statistics cover.
+MONITOR_WINDOW_S = 300.0
+#: PID gains damping the period-to-period large-worker target.
+MONITOR_KP = 0.6
+MONITOR_KI = 0.05
+MONITOR_KD = 0.05
+#: How strongly SLO pressure (0-1) shifts the split toward the small
+#: model: the large-worker target is scaled by ``1 - gain * pressure``.
+SLO_PRESSURE_GAIN = 0.5
 
 
 def estimate_workloads(
     window: WindowStats,
     miss_backlog: int = 0,
     hit_backlog_workload: float = 0.0,
-    period_s: float = 60.0,
+    period_s: float = MONITOR_PERIOD_S,
 ) -> Tuple[float, float]:
     """(miss, hit) workloads in full-generations/min (Alg. 1 lines 3-8).
 
@@ -112,7 +104,8 @@ class GlobalMonitor:
 
     def __init__(
         self,
-        config: MonitorConfig,
+        mode: MonitorMode,
+        use_pid: bool,
         large_model: ModelSpec,
         small_models: Sequence[ModelSpec],
         gpu_name: str,
@@ -122,22 +115,19 @@ class GlobalMonitor:
             raise ValueError("need at least one small-model candidate")
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        self._config = config  # snap: derived (constructor config)
+        self._mode = mode  # snap: derived (constructor config)
+        self._use_pid = use_pid  # snap: derived (constructor config)
         self._large = large_model  # snap: derived (constructor config)
         self._smalls = list(small_models)  # snap: derived (config)
         self._gpu = gpu_name  # snap: derived (constructor config)
         self._n = n_workers
         self._pid = PIDController(
-            kp=config.kp, ki=config.ki, kd=config.kd
+            kp=MONITOR_KP, ki=MONITOR_KI, kd=MONITOR_KD
         )
         # Start fully on the large model (quality first); the first period
         # with traffic pulls the split toward the workload.
         self.current_num_large: float = float(n_workers)
         self.current_small: str = self._smalls[0].name
-
-    @property
-    def config(self) -> MonitorConfig:
-        return self._config
 
     @property
     def n_workers(self) -> int:
@@ -167,7 +157,7 @@ class GlobalMonitor:
 
         ``slo_pressure`` (0-1, from the stats collector's SLO window) pulls
         the split toward the small model when deadlines are being missed:
-        the mode target is scaled by ``1 - slo_pressure_gain * pressure``
+        the mode target is scaled by ``1 - SLO_PRESSURE_GAIN * pressure``
         before damping, trading per-request quality for the throughput
         that restores slack.  At 0 (the default, and always when the SLO
         subsystem is off) the allocation is untouched.
@@ -178,7 +168,7 @@ class GlobalMonitor:
             window,
             miss_backlog=miss_backlog,
             hit_backlog_workload=hit_backlog_workload,
-            period_s=self._config.period_s,
+            period_s=MONITOR_PERIOD_S,
         )
 
         small = self._choose_small(miss_workload, hit_workload)
@@ -199,7 +189,7 @@ class GlobalMonitor:
                 miss_workload=0.0,
                 hit_workload=0.0,
             )
-        if self._config.mode is MonitorMode.QUALITY:
+        if self._mode is MonitorMode.QUALITY:
             target = float(
                 self._quality_target(
                     miss_workload, hit_workload, p_large, p_small
@@ -210,9 +200,9 @@ class GlobalMonitor:
                 miss_workload, hit_workload, p_large, p_small
             )
         if slo_pressure > 0.0:
-            target *= 1.0 - self._config.slo_pressure_gain * slo_pressure
+            target *= 1.0 - SLO_PRESSURE_GAIN * slo_pressure
 
-        if self._config.use_pid:
+        if self._use_pid:
             delta = self._pid.compute(target, self.current_num_large)
             self.current_num_large += delta
         else:

@@ -80,8 +80,8 @@ class SLORejection:
     Attached to :attr:`RequestRecord.rejection` instead of queueing work
     that cannot meet its deadline; ``best_estimate_s`` is the earliest
     completion any serving path *this request was allowed to take* could
-    have offered when it was shed — always past the deadline minus the
-    policy's ``slack_margin_s``, or the request would not have been shed.
+    have offered when it was shed — always past the deadline, or the
+    request would not have been shed.
     """
 
     time_s: float

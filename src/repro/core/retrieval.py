@@ -23,6 +23,10 @@ from repro.embedding.image_encoder import ClipLikeImageEncoder, ImageLike
 from repro.embedding.space import SemanticSpace
 from repro.embedding.text_encoder import ClipLikeTextEncoder, PromptLike
 
+#: Modelled seconds to embed one query prompt, charged on every cache
+#: decision before the scan's own latency.
+EMBED_LATENCY_S = 0.01
+
 
 class RetrievalPolicy(Protocol):
     """Interface the scheduler and caches program against."""

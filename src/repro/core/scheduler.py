@@ -29,7 +29,7 @@ from repro.core.cache import ImageCache
 from repro.core.config import CacheAdmission
 from repro.core.kselection import KSelector
 from repro.core.request import Decision
-from repro.core.retrieval import RetrievalPolicy
+from repro.core.retrieval import EMBED_LATENCY_S, RetrievalPolicy
 from repro.diffusion.latent import SyntheticImage
 from repro.embedding.text_encoder import PromptLike
 
@@ -45,10 +45,7 @@ class RequestScheduler:
         stats: StatsCollector,
         admission: CacheAdmission = CacheAdmission.ALL,
         large_model_name: Optional[str] = None,
-        embed_latency_s: float = 0.01,
     ):
-        if embed_latency_s < 0:
-            raise ValueError("embed_latency_s must be non-negative")
         if admission is CacheAdmission.LARGE_ONLY and not large_model_name:
             raise ValueError(
                 "LARGE_ONLY admission requires large_model_name"
@@ -59,7 +56,6 @@ class RequestScheduler:
         self._stats = stats
         self._admission = admission
         self._large_model_name = large_model_name
-        self._embed_latency_s = embed_latency_s
 
     @property
     def cache(self) -> ImageCache:
@@ -91,7 +87,7 @@ class RequestScheduler:
         permissive selector.  The hit/miss outcome is unaffected.
         """
         query = self._retrieval.query_embedding(prompt)
-        latency = self._embed_latency_s + self._cache.retrieval_latency_s()
+        latency = EMBED_LATENCY_S + self._cache.retrieval_latency_s()
         entry, similarity = self._cache.retrieve(query)
         return self._finish_decision(
             entry, similarity, latency, now, keep_candidates
@@ -120,7 +116,7 @@ class RequestScheduler:
             # sequential path skips the batch-matrix assembly entirely.
             return [self.decide(prompts[0], now, keep_candidates)]
         queries = self._retrieval.query_embeddings(prompts)
-        latency = self._embed_latency_s + self._cache.retrieval_latency_s()
+        latency = EMBED_LATENCY_S + self._cache.retrieval_latency_s()
         return [
             self._finish_decision(
                 entry, similarity, latency, now, keep_candidates

@@ -64,7 +64,12 @@ from repro.core.kselection import (
     modm_default_selector,
     scale_k_steps,
 )
-from repro.core.monitor import Allocation, GlobalMonitor, MonitorConfig
+from repro.core.monitor import (
+    MONITOR_PERIOD_S,
+    MONITOR_WINDOW_S,
+    Allocation,
+    GlobalMonitor,
+)
 from repro.core.request import (
     RequestRecord,
     RequestStore,
@@ -76,17 +81,18 @@ from repro.core.slo import (
     SloSummary,
     summarize_slo,
 )
-from repro.core.retrieval import (
-    RetrievalPolicy,
-    TextToImageRetrieval,
-    TextToTextRetrieval,
-)
+from repro.core.retrieval import TextToImageRetrieval
 from repro.core.scheduler import RequestScheduler
 from repro.diffusion.model import DiffusionModelSim
 from repro.diffusion.registry import ModelSpec, get_gpu, get_model
 from repro.embedding.space import SemanticSpace
 from repro.workloads.prompts import Prompt
 from repro.workloads.trace import Trace
+
+#: How far the SLO degrade cascade lowers the selector thresholds: a
+#: miss the normal selector rejects may still refine on the small model
+#: when its similarity is within this margin of a threshold.
+DEGRADE_THRESHOLD_SHIFT = 0.05
 
 
 @dataclass(frozen=True)
@@ -1084,29 +1090,13 @@ class MoDMSystem(BaseServingSystem):
         self.config = config
         self._large_spec = get_model(config.large_model)
         self._small_specs = [get_model(m) for m in config.small_models]
-        if self._large_spec.total_steps < max(
-            s.total_steps for s in self._small_specs
-        ):
-            # Not an error — distilled "large" setups exist — but the skip
-            # scaling assumes the reference schedule is the large model's.
-            pass
-
-        retrieval: RetrievalPolicy
-        if config.retrieval == "text-to-image":
-            retrieval = TextToImageRetrieval(space)
-        else:
-            retrieval = TextToTextRetrieval(space)
+        retrieval = TextToImageRetrieval(space)
         self.cache = make_image_cache(
             capacity=config.cache_capacity,
             embed_dim=retrieval.embed_dim,
             policy=config.cache_policy,
             backend=config.retrieval_backend,
-            ann=IVFParams(
-                nlist=config.ann_nlist,
-                nprobe=config.ann_nprobe,
-                train_min=config.ann_train_min,
-                seed=config.seed,
-            ),
+            ann=IVFParams(seed=config.seed),
             tiering=config.cache_tiering,
         )
         if hasattr(self.cache, "on_tier_event"):
@@ -1124,13 +1114,10 @@ class MoDMSystem(BaseServingSystem):
             stats=self.stats,
             admission=config.cache_admission,
             large_model_name=self._large_spec.name,
-            embed_latency_s=config.embed_latency_s,
         )
         self.monitor = GlobalMonitor(
-            MonitorConfig(
-                mode=config.monitor_mode,
-                use_pid=config.use_pid,
-            ),
+            config.monitor_mode,
+            config.use_pid,
             large_model=self._large_spec,
             small_models=self._small_specs,
             gpu_name=config.cluster.gpu_name,
@@ -1144,7 +1131,7 @@ class MoDMSystem(BaseServingSystem):
             # The degrade cascade re-thresholds miss candidates through a
             # more permissive selector (lower similarity bar, smaller k).
             self._degrade_selector = base_selector.shifted(
-                -config.slo.degrade_threshold_shift
+                -DEGRADE_THRESHOLD_SHIFT
             )
         self.allocations: List[AllocationEvent] = []
         self._miss_queue = _ReadyQueue(edf=self._slo_edf)
@@ -1198,7 +1185,7 @@ class MoDMSystem(BaseServingSystem):
         # Explicit ``now + period`` (not ``schedule_in``, which computes
         # the same sum) so the marker and the scheduled time are the same
         # float — the tick-dedup compare below is exact.
-        when = self.loop.now + self.monitor.config.period_s
+        when = self.loop.now + MONITOR_PERIOD_S
         self._next_monitor_tick_s = when
         self.loop.schedule(when, self._monitor_tick)
 
@@ -1207,7 +1194,7 @@ class MoDMSystem(BaseServingSystem):
             return  # superseded: the replica was halted since scheduling
         if self.all_done:
             return
-        window = self.stats.window(now, self.monitor.config.window_s)
+        window = self.stats.window(now, MONITOR_WINDOW_S)
         hit_backlog_workload = sum(
             self._hit_work_frac(record) for record in self._hit_queue
         )
@@ -1217,7 +1204,7 @@ class MoDMSystem(BaseServingSystem):
             and self._slo_gate.policy.monitor_pressure
         ):
             slo_pressure = self.stats.slo_window(
-                now, self.monitor.config.window_s
+                now, MONITOR_WINDOW_S
             ).pressure
         allocation = self.monitor.allocate(
             window,
@@ -1340,8 +1327,7 @@ class MoDMSystem(BaseServingSystem):
             # it will), so charge up to one period plus the backlog on
             # that single future worker — no phantom capacity *now*.
             hit_wait = (
-                self.monitor.config.period_s
-                + self._hit_backlog_frac * small_full_s
+                MONITOR_PERIOD_S + self._hit_backlog_frac * small_full_s
             )
 
         if decision.hit:

@@ -14,9 +14,9 @@ state machine per request:
 
 Path feasibility uses deterministic queueing estimates the serving system
 supplies (:class:`PathEstimate`): estimated start + queue wait + service
-against the deadline minus the policy's safety margin.  The estimates are
-deliberately simple — backlog over effective parallelism — so admission
-is O(paths) per request and bit-for-bit reproducible.
+against the deadline.  The estimates are deliberately simple — backlog
+over effective parallelism — so admission is O(paths) per request and
+bit-for-bit reproducible.
 
 :func:`summarize_slo` folds a run's records into the
 violation/shed/degraded accounting ``ServingReport`` exposes.
@@ -131,10 +131,10 @@ class SloGate:
         """
         cls = self._policy.class_named(record.slo_class)
         start = record.enqueued_s if record.enqueued_s is not None else now
-        budget = record.deadline_s - self._policy.slack_margin_s
+        deadline = record.deadline_s
 
         def feasible(path: PathEstimate) -> bool:
-            return path.completion_estimate_s(start) <= budget
+            return path.completion_estimate_s(start) <= deadline
 
         if feasible(primary):
             self._record(now, "accept", record, primary, start)

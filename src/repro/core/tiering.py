@@ -7,7 +7,7 @@ not compute-bound (ROADMAP: "Ten-million-entry cache tier"), so this
 module splits storage across two tiers behind the same cache surface:
 
 * **Scan tier** — the IVF index's packed per-cell blocks, quantized to
-  fp16 (``IVFParams.block_dtype``).  Every live entry is scannable; the
+  fp16 (:data:`SCAN_BLOCK_DTYPE`).  Every live entry is scannable; the
   coarse scan runs over half-width blocks and the exact re-rank
   (``IVFParams.rerank`` shortlist) keeps returned similarities exact.
 * **Hot tier** — a small float64 row store for the frequently-hit
@@ -19,7 +19,7 @@ module splits storage across two tiers behind the same cache surface:
 Promotion is driven by access counts: an entry's ``promote_hits``-th
 recorded hit copies its exact row from the cold file into the hot store,
 demoting a victim chosen by an eviction-registry policy
-(``tier_policy``) when the hot store is full.  Placement never changes
+(:data:`TIER_POLICY`) when the hot store is full.  Placement never changes
 *results* — hot rows are bit-exact copies of cold rows, so retrieval is
 residency-independent and only the modelled latency
 (:meth:`TieredVectorCache.scan_entries`) sees the tier split.
@@ -45,7 +45,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.ann import (
-    BLOCK_DTYPES,
     IVFIndex,
     IVFParams,
     IVFState,
@@ -56,7 +55,6 @@ from repro.core.ann import (
 from repro.core.cache import (
     RETRIEVAL_SECONDS_PER_ENTRY,
     CacheEntry,
-    EVICTION_POLICIES,
     make_eviction_policy,
 )
 from repro.core.journal import SnapCounter
@@ -73,6 +71,15 @@ COLD_FETCH_UNITS = 64
 #: (64k rows × dim 50 × 8 B = ~26 MB resident per pass).
 _STREAM_CHUNK_ROWS = 65_536
 
+#: Eviction-registry policy choosing the hot-tier demotion victim:
+#: ``utility`` demotes the fewest-hit entry, keeping heavy hitters
+#: resident.
+TIER_POLICY = "utility"
+
+#: Element type of the IVF scan blocks: fp16 halves scan memory, and
+#: the exact re-rank keeps returned similarities exact.
+SCAN_BLOCK_DTYPE = "fp16"
+
 
 @dataclass(frozen=True)
 class TieredCacheConfig:
@@ -80,12 +87,7 @@ class TieredCacheConfig:
 
     ``hot_capacity`` — float64 rows kept RAM-resident (0 = auto:
     ``capacity // 8``, at least 1).  ``promote_hits`` — recorded hits at
-    which a cold entry is promoted.  ``tier_policy`` — eviction-registry
-    policy choosing the demotion victim when the hot store is full
-    (``"utility"`` demotes the fewest-hit entry, keeping the heavy
-    hitters resident).  ``block_dtype`` — element type of the IVF scan
-    blocks (``"fp16"`` halves scan memory; the exact re-rank keeps
-    similarities exact).  ``shortlist`` — exact-re-rank width
+    which a cold entry is promoted.  ``shortlist`` — exact-re-rank width
     (``IVFParams.rerank`` floor; wider catches fp16 near-tie
     misordering).  ``cold_dir`` — directory for the cold row file
     (``None`` = anonymous temp file: dropped on process exit, which
@@ -95,8 +97,6 @@ class TieredCacheConfig:
 
     hot_capacity: int = 0
     promote_hits: int = 1
-    tier_policy: str = "utility"
-    block_dtype: str = "fp16"
     shortlist: int = 8
     cold_dir: Optional[str] = None
 
@@ -105,16 +105,6 @@ class TieredCacheConfig:
             raise ValueError("hot_capacity must be >= 0 (0 = auto)")
         if self.promote_hits < 1:
             raise ValueError("promote_hits must be >= 1")
-        if self.tier_policy not in EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown tier_policy {self.tier_policy!r}; "
-                f"available: {sorted(EVICTION_POLICIES)}"
-            )
-        if self.block_dtype not in BLOCK_DTYPES:
-            raise ValueError(
-                f"unknown block_dtype {self.block_dtype!r}; "
-                f"available: {list(BLOCK_DTYPES)}"
-            )
         if self.shortlist < 1:
             raise ValueError("shortlist must be >= 1")
 
@@ -419,7 +409,7 @@ class TieredVectorCache:
     with inserts landing on consecutive slots, the oldest entry is
     always at the ring cursor, so eviction is O(1) with no bookkeeping
     structure at 10M scale.  The eviction-policy *registry* drives tier
-    demotion instead (``tiering.tier_policy``).
+    demotion instead (:data:`TIER_POLICY`).
     """
 
     def __init__(
@@ -476,7 +466,7 @@ class TieredVectorCache:
         # ``entries`` sequence the demotion policy's victim scan reads.
         # snap: derived (rebuilt from hot_row_of on restore)
         self._hot_view: List[Optional[TieredEntry]] = [None] * capacity
-        self._tier_policy = make_eviction_policy(tiering.tier_policy)
+        self._tier_policy = make_eviction_policy(TIER_POLICY)
         cold_path = None
         if tiering.cold_dir is not None:
             os.makedirs(tiering.cold_dir, exist_ok=True)
@@ -490,7 +480,7 @@ class TieredVectorCache:
             self._live,
             replace(
                 base,
-                block_dtype=tiering.block_dtype,
+                block_dtype=SCAN_BLOCK_DTYPE,
                 rerank=max(base.rerank, tiering.shortlist),
             ),
         )
@@ -991,9 +981,7 @@ class TieredVectorCache:
         # Order-dependent float accumulation: adopt, never recompute.
         self._embedding_sum[:] = state.embedding_sum
         self._hot_free = list(state.hot_free)
-        self._tier_policy = make_eviction_policy(
-            self._tiering.tier_policy
-        )
+        self._tier_policy = make_eviction_policy(TIER_POLICY)
         self._tier_policy.restore_state(state.tier_policy_state)
         self._cold.rewind(state.cold_rows)
         self._index.restore_state(state.index_state)
@@ -1071,9 +1059,7 @@ class TieredVectorCache:
         self._margin.reset()
         self._hot_free = list(range(self._hot_capacity - 1, -1, -1))
         self._hot_view = [None] * self._capacity
-        self._tier_policy = make_eviction_policy(
-            self._tiering.tier_policy
-        )
+        self._tier_policy = make_eviction_policy(TIER_POLICY)
         self._cold.rewind(0)
         self._index.clear()
         self.last_inserted = None

@@ -381,17 +381,16 @@ class TestServingIntegration:
             cache_capacity=400,
             small_models=("sdxl",),
             retrieval_backend="ivf",
-            ann_nlist=16,
-            ann_nprobe=4,
-            ann_train_min=64,
         )
         system = MoDMSystem(space, config)
         trace = diffusiondb_trace(
             space,
-            DiffusionDBConfig(n_requests=200, seed="ann-serving"),
+            DiffusionDBConfig(n_requests=380, seed="ann-serving"),
         )
-        system.warm_cache([r.prompt for r in trace.requests[:80]])
-        report = system.run(trace.slice(80, 200).rebase())
+        # The auto-sized index trains once 256 entries are live
+        # (IVFParams.resolved_train_min); warm just past that.
+        system.warm_cache([r.prompt for r in trace.requests[:260]])
+        report = system.run(trace.slice(260, 380).rebase())
         assert system.cache.index is not None
         assert system.cache.index.trained
         assert report.n_completed == 120

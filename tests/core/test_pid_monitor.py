@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.stats import WindowStats
 from repro.core.config import MonitorMode
-from repro.core.monitor import Allocation, GlobalMonitor, MonitorConfig
+from repro.core.monitor import Allocation, GlobalMonitor
 from repro.core.pid import PIDController
 from repro.diffusion.registry import get_model
 
@@ -69,7 +69,8 @@ class TestPIDController:
 @pytest.fixture
 def monitor():
     return GlobalMonitor(
-        MonitorConfig(mode=MonitorMode.THROUGHPUT, use_pid=False),
+        mode=MonitorMode.THROUGHPUT,
+        use_pid=False,
         large_model=get_model("sd3.5-large"),
         small_models=[get_model("sdxl"), get_model("sana-1.6b")],
         gpu_name="MI210",
@@ -114,7 +115,8 @@ class TestQualityMode:
     @pytest.fixture
     def qmonitor(self):
         return GlobalMonitor(
-            MonitorConfig(mode=MonitorMode.QUALITY, use_pid=False),
+            mode=MonitorMode.QUALITY,
+            use_pid=False,
             large_model=get_model("sd3.5-large"),
             small_models=[get_model("sdxl")],
             gpu_name="MI210",
@@ -153,7 +155,8 @@ class TestSmallModelSelection:
 
     def test_single_candidate_always_used(self):
         monitor = GlobalMonitor(
-            MonitorConfig(use_pid=False),
+            mode=MonitorMode.THROUGHPUT,
+            use_pid=False,
             large_model=get_model("sd3.5-large"),
             small_models=[get_model("sdxl")],
             gpu_name="MI210",
@@ -188,7 +191,8 @@ class TestBacklogAwareness:
 class TestPidIntegration:
     def test_pid_damps_reallocation(self):
         damped = GlobalMonitor(
-            MonitorConfig(use_pid=True),
+            mode=MonitorMode.THROUGHPUT,
+            use_pid=True,
             large_model=get_model("sd3.5-large"),
             small_models=[get_model("sdxl")],
             gpu_name="MI210",
@@ -201,7 +205,8 @@ class TestPidIntegration:
 
     def test_pid_converges_over_periods(self):
         monitor = GlobalMonitor(
-            MonitorConfig(use_pid=True),
+            mode=MonitorMode.THROUGHPUT,
+            use_pid=True,
             large_model=get_model("sd3.5-large"),
             small_models=[get_model("sdxl")],
             gpu_name="MI210",
@@ -235,7 +240,8 @@ class TestAllocationValidation:
     def test_monitor_requires_candidates(self):
         with pytest.raises(ValueError):
             GlobalMonitor(
-                MonitorConfig(),
+                mode=MonitorMode.THROUGHPUT,
+                use_pid=True,
                 large_model=get_model("sd3.5-large"),
                 small_models=[],
                 gpu_name="MI210",

@@ -203,17 +203,6 @@ class TestAdmission:
                 admission=CacheAdmission.LARGE_ONLY,
             )
 
-    def test_negative_embed_latency_rejected(self, space):
-        retrieval = TextToImageRetrieval(space)
-        with pytest.raises(ValueError):
-            RequestScheduler(
-                cache=ImageCache(capacity=4, embed_dim=retrieval.embed_dim),
-                retrieval=retrieval,
-                selector=modm_default_selector(),
-                stats=StatsCollector(),
-                embed_latency_s=-0.1,
-            )
-
     def test_bind_stats_redirects_recording(
         self, scheduler_parts, prompts
     ):

@@ -321,10 +321,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MoDMConfig(small_models=())
 
-    def test_invalid_retrieval(self):
-        with pytest.raises(ValueError):
-            MoDMConfig(retrieval="image-to-image")
-
     def test_invalid_cache_capacity(self):
         with pytest.raises(ValueError):
             MoDMConfig(cache_capacity=0)
