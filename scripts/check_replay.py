@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """Replay-determinism gate: snapshot + resume must equal never stopping.
 
-Runs a journaled MoDM serving trace to completion, picks a state snapshot
-from the middle of the run, restores it into a freshly constructed
-(identically configured) system, resumes, and demands the resumed run be
-*bit-identical* to the uninterrupted one — same completion times, same
-decisions, same journal digest.  This is the property warm replica
+Runs a MoDM serving trace with periodic state snapshots to completion,
+picks a snapshot from the middle of the run, restores it into a freshly
+constructed (identically configured) system, resumes, and demands the
+resumed run be *bit-identical* to the uninterrupted one — same
+completion times, same decisions, same journal digest.  Engines and
+fleets expose the same always-on ``journal``, so both modes read and
+replay it the same way.  This is the property warm replica
 recovery rests on, so CI gates on it.
 
 No golden file: both runs are generated here, so the gate cannot go
@@ -116,8 +118,8 @@ def _payload(report, system) -> dict:
         "completion_times_sum": times_sum,
         "completion_times_sha": times_sha,
         "decision_sha": decision_digest(report.records),
-        "journal_digest": system._journal.digest(),
-        "journal_events": len(system._journal),
+        "journal_digest": system.journal.digest(),
+        "journal_events": len(system.journal),
         "cache_size": report.cache_size,
     }
 
@@ -137,7 +139,7 @@ def _fleet_payload(report, system) -> dict:
         "journal_digest": system.journal.digest(),
         "journal_events": len(system.journal),
         "replica_journal_digests": [
-            replica._journal.digest() for replica in system.replicas
+            replica.journal.digest() for replica in system.replicas
         ],
         "routed": report.routed,
         "n_rerouted": report.n_rerouted,
@@ -205,9 +207,8 @@ def run_gate(suffix: bool = False, fleet: bool = False) -> tuple:
         snapshot = straight.snapshots[len(straight.snapshots) // 2]
     resumed = build()
     if suffix:
-        journal = straight.journal if fleet else straight._journal
         snapshot.restore(resumed, install_timeline=False)
-        replayer = JournalReplayer(resumed, journal.entries())
+        replayer = JournalReplayer(resumed, straight.journal.entries())
         resumed_report = replayer.replay(trace_name=trace.name)
         replayer.verify()
     else:

@@ -13,10 +13,9 @@ Two extensions support the columnar engine core:
   which reproduces the historical order exactly — arrivals were always
   scheduled before any completion/wakeup could be, so they carried the
   lowest sequence numbers at any shared timestamp;
-- **batched stepping** (:meth:`EventLoop.step_batch`): pops every event at
-  the head timestamp as one group, preserving the exact (time, seq) firing
-  order of repeated :meth:`step` calls, so dispatch layers can process
-  same-tick cohorts without re-peeking the heap between events.
+- a **fused drain** (:meth:`EventLoop.run`): one lane decision per event
+  with the hot state in locals, firing in the exact (time, seq) order of
+  repeated :meth:`EventLoop.step` calls, which stays the reference.
 """
 
 from __future__ import annotations
@@ -158,16 +157,12 @@ class EventLoop:
         # Ties go to the timeline lane (see class docstring).
         return tl[self._tl_idx] <= self._heap[0][0]
 
-    def _head_time(self) -> Optional[float]:
+    def step(self) -> bool:
+        """Fire the next event; returns False when the queue is empty."""
         lane = self._next_is_timeline()
         if lane is None:
-            return None
+            return False
         if lane:
-            return self._tl_list[self._tl_idx]
-        return self._heap[0][0]
-
-    def _fire_next(self) -> None:
-        if self._next_is_timeline():
             i = self._tl_idx
             time = self._tl_list[i]
             self._tl_idx = i + 1
@@ -179,87 +174,51 @@ class EventLoop:
             self._now = time
             self._processed += 1
             callback(time)
-
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        if self._next_is_timeline() is None:
-            return False
-        self._fire_next()
         return True
 
-    def step_batch(self) -> int:
-        """Fire every event at the head timestamp; returns the count.
-
-        The group is open: events scheduled *at the batch timestamp* by
-        callbacks within the batch join it, exactly as they would fire
-        next under repeated :meth:`step`.  Firing order is identical to
-        repeated :meth:`step` — (time, seq) with timeline ties first.
-        """
-        time = self._head_time()
-        if time is None:
-            return 0
-        fired = 0
-        while self._head_time() == time:
-            self._fire_next()
-            fired += 1
-        return fired
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Run until the queue drains, ``until`` passes, or the budget ends.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains or ``until`` passes.
 
         Events scheduled exactly at ``until`` still fire; later ones stay
         queued (the clock never advances past the last fired event).
+        Fires in the exact (time, seq) order of repeated :meth:`step` —
+        the lane choice below mirrors ``_next_is_timeline`` (ties go to
+        the timeline) with the hot state in locals.
         """
-        if max_events is None:
-            # Fused drain: one lane decision per event, hot state in
-            # locals.  Fires in the exact (time, seq) order of repeated
-            # ``step()`` — the lane choice below mirrors
-            # ``_next_is_timeline`` (ties go to the timeline).
-            heap = self._heap
-            tl = self._tl_list
-            n_tl = len(tl)
-            fire = self._tl_fire
-            heappop = heapq.heappop
-            while True:
-                if tl is not self._tl_list:
-                    # A callback installed a fresh timeline mid-run.
-                    tl = self._tl_list
-                    n_tl = len(tl)
-                    fire = self._tl_fire
-                i = self._tl_idx
-                if i < n_tl:
-                    t_tl = tl[i]
-                    if heap and heap[0][0] < t_tl:
-                        head = heap[0][0]
-                        use_tl = False
-                    else:
-                        head = t_tl
-                        use_tl = True
-                elif heap:
+        heap = self._heap
+        tl = self._tl_list
+        n_tl = len(tl)
+        fire = self._tl_fire
+        heappop = heapq.heappop
+        while True:
+            if tl is not self._tl_list:
+                # A callback installed a fresh timeline mid-run.
+                tl = self._tl_list
+                n_tl = len(tl)
+                fire = self._tl_fire
+            i = self._tl_idx
+            if i < n_tl:
+                t_tl = tl[i]
+                if heap and heap[0][0] < t_tl:
                     head = heap[0][0]
                     use_tl = False
                 else:
-                    return
-                if until is not None and head > until:
-                    return
-                if use_tl:
-                    self._tl_idx = i + 1
-                    self._now = head
-                    self._processed += 1
-                    fire(head, i)
-                else:
-                    time, _, callback = heappop(heap)
-                    self._now = time
-                    self._processed += 1
-                    callback(time)
-        fired = 0
-        while fired < max_events:
-            head = self._head_time()
-            if head is None or (until is not None and head > until):
+                    head = t_tl
+                    use_tl = True
+            elif heap:
+                head = heap[0][0]
+                use_tl = False
+            else:
                 return
-            self._fire_next()
-            fired += 1
+            if until is not None and head > until:
+                return
+            if use_tl:
+                self._tl_idx = i + 1
+                self._now = head
+                self._processed += 1
+                fire(head, i)
+            else:
+                time, _, callback = heappop(heap)
+                self._now = time
+                self._processed += 1
+                callback(time)

@@ -47,12 +47,9 @@ class VanillaSystem(BaseServingSystem):
         cluster: ClusterConfig,
         model: str = "sd3.5-large",
         seed: str = "run0",
-        store_images: bool = True,
         slo: Optional[SLOPolicy] = None,
     ):
-        super().__init__(
-            space, cluster, seed=seed, store_images=store_images
-        )
+        super().__init__(space, cluster, seed=seed)
         self._spec = get_model(model)
         self.name = f"vanilla-{self._spec.name}"
         if slo is not None:
@@ -133,12 +130,9 @@ class NirvanaSystem(BaseServingSystem):
         selector: Optional[KSelector] = None,
         latent_fetch_s: float = 3.0,
         seed: str = "run0",
-        store_images: bool = True,
         slo: Optional[SLOPolicy] = None,
     ):
-        super().__init__(
-            space, cluster, seed=seed, store_images=store_images
-        )
+        super().__init__(space, cluster, seed=seed)
         if latent_fetch_s < 0:
             raise ValueError("latent_fetch_s must be non-negative")
         self._spec = get_model(model)
@@ -357,11 +351,8 @@ class PineconeSystem(BaseServingSystem):
         cache_capacity: int = 10_000,
         serve_threshold: float = 0.87,
         seed: str = "run0",
-        store_images: bool = True,
     ):
-        super().__init__(
-            space, cluster, seed=seed, store_images=store_images
-        )
+        super().__init__(space, cluster, seed=seed)
         if not 0.0 <= serve_threshold <= 1.0:
             raise ValueError("serve_threshold must be in [0, 1]")
         self._spec = get_model(model)

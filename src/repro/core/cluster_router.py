@@ -1057,12 +1057,13 @@ class ClusterServingSystem:
         """Restart replica ``event.replica``, warm when a snapshot exists.
 
         Warm restarts restore the last pre-kill cache snapshot (replicas
-        with ``MoDMConfig.journal`` set capture them periodically); with
-        no snapshot available the restart falls back to cold — an empty
-        cache that must re-learn its semantic neighborhood.  Tiered
-        caches make the warm path cheap at scale: their snapshots are
-        block-free and hot-free, and ``cache.restore`` rebuilds both
-        tiers by streaming the replica's cold-row file once.
+        whose ``MoDMConfig.journal`` sets a snapshot period capture them
+        periodically); with no snapshot available the restart falls back
+        to cold — an empty cache that must re-learn its semantic
+        neighborhood.  Tiered caches make the warm path cheap at scale:
+        their snapshots are block-free and hot-free, and
+        ``cache.restore`` rebuilds both tiers by streaming the replica's
+        cold-row file once.
         """
         idx = event.replica
         replica = self.replicas[idx]
@@ -1387,8 +1388,7 @@ class ClusterSnapshot:
     autoscaler_state: Optional[Dict[str, Any]]
     journal_entries: List[Tuple[float, int, int, int, float]]
     # snap: derived (verification metadata: restore() rebuilds the
-    # journal from journal_entries; kept so replay tooling can
-    # cross-check integrity)
+    # journal from journal_entries and checks its digest against this)
     journal_digest: str
     next_snapshot_s: float
     replica_states: List[ReplicaState]
@@ -1447,10 +1447,11 @@ class ClusterSnapshot:
         """Rebuild ``cluster`` into this snapshot's state.
 
         ``cluster`` must be freshly constructed with the same
-        configuration (enforced via the fingerprint).  With
-        ``install_timeline=False`` the clock jumps to the snapshot
-        instant with no future arrivals scheduled — journal-suffix
-        replay then re-injects them from ARRIVAL rows.
+        configuration (enforced via the fingerprint); a rebuilt fleet
+        journal whose digest differs from ``journal_digest`` raises
+        ``ValueError``.  With ``install_timeline=False`` the clock jumps
+        to the snapshot instant with no future arrivals scheduled —
+        journal-suffix replay then re-injects them from ARRIVAL rows.
         """
         fp = _cluster_fingerprint(cluster)
         if fp != self.fingerprint:
@@ -1486,6 +1487,7 @@ class ClusterSnapshot:
                 )
             cluster._autoscaler.restore_state(self.autoscaler_state)
         cluster.journal = EventJournal.from_entries(self.journal_entries)
+        cluster.journal.check_digest(self.journal_digest)
         cluster._next_snapshot_s = self.next_snapshot_s
         cluster.snapshots = []
         fleet = _FleetState(self.expected, cluster.replicas)

@@ -147,17 +147,17 @@ class SLOPolicy:
 
 @dataclass(frozen=True)
 class JournalConfig:
-    """Opt-in event journaling and periodic state snapshots.
+    """Snapshot cadence of the always-on event journal.
 
-    Attaching one to :class:`MoDMConfig` makes the engine append a
-    compact columnar record of every arrival, decision, dispatch,
-    completion, and allocation to an :class:`~repro.core.journal.
-    EventJournal`, and — when ``snapshot_period_s > 0`` — capture a full
-    :class:`~repro.core.journal.Snapshot` every period so the run can be
-    restored and resumed bit-identically from any snapshot.  Journaling
-    never changes simulation behaviour: with it off (the default) every
-    code path is byte-identical to the journal-free engine, and with it
-    on the produced report is the same report.
+    Every serving system appends a compact columnar record of each
+    arrival, decision, dispatch, completion and allocation to its
+    :class:`~repro.core.journal.EventJournal`, with or without this
+    config.  Attaching one to :class:`MoDMConfig` with
+    ``snapshot_period_s > 0`` additionally captures a full
+    :class:`~repro.core.journal.Snapshot` every period, so the run can
+    be restored and resumed bit-identically from any snapshot.
+    ``None`` and ``snapshot_period_s=0`` both mean "no snapshots".
+    Neither the journal nor snapshots change simulation behaviour.
     """
 
     snapshot_period_s: float = 0.0
@@ -165,8 +165,8 @@ class JournalConfig:
     def __post_init__(self) -> None:
         if self.snapshot_period_s < 0:
             raise ValueError(
-                "snapshot_period_s must be >= 0 (0 = journal only, "
-                "no periodic snapshots)"
+                "snapshot_period_s must be >= 0 (0 = no periodic "
+                "snapshots)"
             )
 
 

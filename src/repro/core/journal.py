@@ -25,9 +25,9 @@ that property for fault tolerance:
   (cache entry ids, image ids) seed content noise draws, so restoring a
   replica means restoring these counters exactly.
 
-Single-engine journaling is opt-in (``MoDMConfig.journal``); with it
-off every code path is byte-identical to the journal-free engine.  A
-fleet always keeps its cluster-level journal.
+The journal is always on: every serving system and every fleet
+exposes one ``journal``.  ``MoDMConfig.journal`` sets only the snapshot
+cadence; journaling never changes what the engine decides.
 """
 
 from __future__ import annotations
@@ -201,6 +201,21 @@ class EventJournal:
             h.update(np.ascontiguousarray(getattr(self, name)[:n]).tobytes())
         return h.hexdigest()
 
+    def check_digest(self, expected: str) -> None:
+        """Raise ``ValueError`` unless :meth:`digest` equals ``expected``.
+
+        Snapshot restore rebuilds a journal from captured rows; a
+        mismatch with the digest taken at capture means those rows were
+        altered or lost in between.
+        """
+        actual = self.digest()
+        if actual != expected:
+            raise ValueError(
+                "restored journal digest mismatch: the snapshot recorded "
+                f"{expected[:16]}..., its journal rows hash to "
+                f"{actual[:16]}..."
+            )
+
     def kind_counts(self) -> Dict[str, int]:
         """Event count per kind name (reporting/debugging)."""
         counts = np.bincount(
@@ -364,7 +379,6 @@ class ReplicaState:
     @classmethod
     def capture(cls, replica) -> "ReplicaState":
         """Side-effect-free capture (no memo builds, no window trims)."""
-        journal = replica._journal
         state = cls(
             fingerprint=_replica_fingerprint(replica),
             record_rows=[r._row for r in replica.records],
@@ -411,9 +425,7 @@ class ReplicaState:
             ),
             next_snapshot_tick_s=replica._next_snapshot_tick_s,
             stats_state=replica.stats.snapshot_state(),
-            journal_entries=(
-                journal.entries() if journal is not None else []
-            ),
+            journal_entries=replica.journal.entries(),
             cache_snapshots=list(replica._cache_snapshots),
         )
         if hasattr(replica, "cache"):
@@ -528,10 +540,7 @@ class ReplicaState:
                 replica.cache.clear()
         for name, value in self.model_counters.items():
             replica.model_sim(name)._counter.value = value
-        if replica._journal is not None:
-            replica._journal = EventJournal.from_entries(
-                self.journal_entries
-            )
+        replica.journal = EventJournal.from_entries(self.journal_entries)
 
 
 @dataclass
@@ -552,8 +561,8 @@ class Snapshot:
     heap: List[Tuple[float, str]]
     store: RequestStore
     # snap: derived (verification metadata: restore() rebuilds the
-    # journal from the replica state's journal_entries and the digest is
-    # recomputed; kept so replay tooling can cross-check integrity)
+    # journal from the replica state's journal_entries and checks the
+    # rebuilt journal's digest against this one)
     journal_digest: str
     replica: ReplicaState
 
@@ -566,14 +575,13 @@ class Snapshot:
                 "capture cache-only snapshots"
             )
         loop = system.loop
-        journal = system._journal
         return cls(
             time_s=loop.now,
             tl_idx=loop.timeline_index,
             has_timeline=loop._tl_times is not None,
             heap=_classify_heap(system),
             store=_copy_store(system.request_store),
-            journal_digest=journal.digest() if journal is not None else "",
+            journal_digest=system.journal.digest(),
             replica=ReplicaState.capture(system),
         )
 
@@ -583,7 +591,8 @@ class Snapshot:
 
         ``system`` must be freshly constructed with the same
         configuration (enforced via the fingerprint); any prior runtime
-        state it holds is discarded.
+        state it holds is discarded.  A rebuilt journal whose digest
+        differs from :attr:`journal_digest` raises ``ValueError``.
 
         ``install_timeline=False`` restores the state *without* the
         remaining arrival timeline: the clock jumps to the snapshot
@@ -610,6 +619,7 @@ class Snapshot:
         else:
             loop.restore_clock(self.time_s, 0)
         self.replica.restore(system, store)
+        system.journal.check_digest(self.journal_digest)
         for time, kind in self.heap:
             loop.schedule(time, getattr(system, _HEAP_HANDLERS[kind]))
 
@@ -644,10 +654,10 @@ class JournalReplayer:
 
     Works for single engines (restore a :class:`Snapshot` with
     ``install_timeline=False``) and whole fleets (restore a
-    ``ClusterSnapshot`` with ``install_timeline=False``) — both route
-    replayed cohorts through ``_arrive_cohort``, and everything else
-    (completions, monitor/snapshot ticks, failure injections,
-    autoscale periods) fires from the restored heap.
+    ``ClusterSnapshot`` with ``install_timeline=False``) — both expose
+    ``journal`` and route replayed cohorts through ``_arrive_cohort``,
+    and everything else (completions, monitor/snapshot ticks, failure
+    injections, autoscale periods) fires from the restored heap.
     """
 
     def __init__(
@@ -656,14 +666,7 @@ class JournalReplayer:
         reference_entries: List[Tuple[float, int, int, int, float]],
     ) -> None:
         self._system = system
-        journal = self._journal_of(system)
-        if journal is None:
-            raise ValueError(
-                "journal-suffix replay needs a journaled system "
-                "(a single engine journals with MoDMConfig.journal "
-                "set; fleets always journal)"
-            )
-        have = journal.entries()
+        have = system.journal.entries()
         self._start = len(have)
         self._reference = [tuple(row) for row in reference_entries]
         if self._reference[: self._start] != have:
@@ -679,13 +682,6 @@ class JournalReplayer:
         ]
         self.n_cohorts = len(arrivals)
         self._install(arrivals)
-
-    @staticmethod
-    def _journal_of(system) -> Optional[EventJournal]:
-        journal = getattr(system, "_journal", None)
-        if journal is None:
-            journal = getattr(system, "journal", None)
-        return journal
 
     def _install(self, arrivals: List[Tuple[float, int, int]]) -> None:
         if not arrivals:
@@ -724,7 +720,7 @@ class JournalReplayer:
 
     def verify(self) -> None:
         """Assert the replay regenerated the reference record exactly."""
-        regenerated = self._journal_of(self._system).entries()
+        regenerated = self._system.journal.entries()
         if regenerated != self._reference:
             n = min(len(regenerated), len(self._reference))
             diverged = next(

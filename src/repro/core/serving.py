@@ -464,7 +464,9 @@ class BaseServingSystem:
         self._seed = seed
         self._store_images = store_images
         self._image_id_len_cap = image_id_len_cap
-        self._journal_config = journal
+        # The journal itself is always on; its config sets only the
+        # snapshot cadence (None or 0 = no periodic snapshots).
+        self._snapshot_period_s = (journal or JournalConfig()).snapshot_period_s
         self._model_sims: Dict[str, DiffusionModelSim] = {}
         # Subclasses install a gate to opt into the SLO subsystem; None
         # keeps every code path identical to the policy-free engine.
@@ -516,10 +518,7 @@ class BaseServingSystem:
 
     def _on_run_start(self) -> None:
         """Hook fired once before the event loop runs (monitor ticks)."""
-        if (
-            self._journal is not None
-            and self._journal_config.snapshot_period_s > 0
-        ):
+        if self._snapshot_period_s > 0:
             self._schedule_snapshot_tick()
 
     # ------------------------------------------------------------------
@@ -566,12 +565,9 @@ class BaseServingSystem:
         # Dispatch wakeups already scheduled, by timestamp: n same-tick
         # records coalesce into one wakeup event instead of n.
         self._pending_wakeups: Set[float] = set()
-        # Opt-in fault-tolerance state.  With journaling off every field
-        # below is inert and no extra event ever enters the loop, so the
-        # simulation is bit-identical to the journal-free engine.
-        self._journal = (
-            EventJournal() if self._journal_config is not None else None
-        )
+        # Fault-tolerance state.  The journal only records; with no
+        # snapshot period no extra event ever enters the loop.
+        self.journal = EventJournal()
         self.snapshots: List[Snapshot] = []
         self._cache_snapshots: List[Tuple[float, object]] = []
         # Tick-dedup markers: a periodic event is live only while its
@@ -613,19 +609,19 @@ class BaseServingSystem:
         return self._build_report(trace, energy)
 
     def _schedule_snapshot_tick(self) -> None:
-        when = self.loop.now + self._journal_config.snapshot_period_s
+        when = self.loop.now + self._snapshot_period_s
         self._next_snapshot_tick_s = when
         self.loop.schedule(when, self._snapshot_tick)
 
     def _snapshot_tick(self, now: float) -> None:
         if now != self._next_snapshot_tick_s:
             return  # superseded: the replica was halted since scheduling
-        if self._journal is None or self.all_done:
+        if self.all_done:
             return
         # Journal the marker and schedule the successor *before* the
         # capture so the snapshot itself carries both — a restored run
         # keeps snapshotting on the same cadence.
-        self._journal.append(
+        self.journal.append(
             now, SNAPSHOT, a=self._n_completed, b=self._n_shed
         )
         self._schedule_snapshot_tick()
@@ -673,26 +669,25 @@ class BaseServingSystem:
     def _arrive_batch(
         self, records: Sequence[RequestRecord], now: float
     ) -> None:
-        journal = self._journal
-        if journal is not None and records:
+        journal = self.journal
+        if records:
             journal.append(
                 now, ARRIVAL, a=records[0].request_id, b=len(records)
             )
         self._handle_arrivals(records, now)
-        if journal is not None:
-            for record in records:
-                if record.shed:
-                    journal.append(now, SHED, a=record.request_id)
-                    continue
-                decision = record.decision
-                if decision is not None:
-                    journal.append(
-                        now,
-                        DECISION,
-                        a=record.request_id,
-                        b=decision.k_steps if decision.hit else -1,
-                        x=decision.similarity,
-                    )
+        for record in records:
+            if record.shed:
+                journal.append(now, SHED, a=record.request_id)
+                continue
+            decision = record.decision
+            if decision is not None:
+                journal.append(
+                    now,
+                    DECISION,
+                    a=record.request_id,
+                    b=decision.k_steps if decision.hit else -1,
+                    x=decision.similarity,
+                )
         self._dispatch(now)
 
     def _schedule_queue_dispatch(self, record: RequestRecord) -> None:
@@ -751,15 +746,14 @@ class BaseServingSystem:
         record.worker_id = worker.worker_id
         record.model_name = item.model.spec.name
         record.steps_run = item.steps
-        self._in_service[record.request_id] = item
-        if self._journal is not None:
-            self._journal.append(
-                now,
-                DISPATCH,
-                a=record.request_id,
-                b=worker.worker_id,
-                x=float(item.steps),
-            )
+        self._in_service[job.request_id] = item
+        self.journal.append(
+            now,
+            DISPATCH,
+            a=job.request_id,
+            b=worker.worker_id,
+            x=float(item.steps),
+        )
         # Same-timestamp completions form one cohort event; workers are
         # completed in schedule order within the cohort, and each record
         # still dispatches individually (deferring dispatch to the end of
@@ -805,10 +799,9 @@ class BaseServingSystem:
         if self._store_images:
             record.image = result.image
         self._n_completed += 1
-        if self._journal is not None:
-            self._journal.append(
-                now, COMPLETE, a=record.request_id, b=worker.worker_id
-            )
+        self.journal.append(
+            now, COMPLETE, a=job.request_id, b=worker.worker_id
+        )
         if self._slo_gate is not None:
             self._slo_gate.record_completion(record, now)
         self._on_complete_image(record, result.image, now)
@@ -827,6 +820,8 @@ class BaseServingSystem:
         if self._store_images:
             record.image = image
         self._n_completed += 1
+        # b=-1: no worker served it.
+        self.journal.append(now, COMPLETE, a=record.request_id, b=-1)
 
     def _install_slo_gate(
         self, policy, reference_spec: ModelSpec
@@ -1101,7 +1096,7 @@ class MoDMSystem(BaseServingSystem):
         )
         if hasattr(self.cache, "on_tier_event"):
             # Tiered cache: journal promotions/demotions.  The callback
-            # reads self._journal at fire time, so it survives both
+            # reads self.journal at fire time, so it survives both
             # _reset_runtime and Snapshot.restore rebinding the journal.
             self.cache.on_tier_event = self._journal_tier_event
         base_selector = selector or modm_default_selector()
@@ -1234,19 +1229,17 @@ class MoDMSystem(BaseServingSystem):
         copies of cold rows), but they do change the modelled retrieval
         latency, so the journal records them for replay audits.
         """
-        if self._journal is not None:
-            self._journal.append(
-                now,
-                PROMOTE if kind == "promote" else DEMOTE,
-                a=entry_id,
-                b=slot,
-            )
+        self.journal.append(
+            now,
+            PROMOTE if kind == "promote" else DEMOTE,
+            a=entry_id,
+            b=slot,
+        )
 
     def _apply_allocation(self, allocation: Allocation, now: float) -> None:
-        if self._journal is not None:
-            self._journal.append(
-                now, ALLOC, a=allocation.n_large, b=allocation.n_small
-            )
+        self.journal.append(
+            now, ALLOC, a=allocation.n_large, b=allocation.n_small
+        )
         self.allocations.append(
             AllocationEvent(
                 time_s=now,
@@ -1445,10 +1438,7 @@ class MoDMSystem(BaseServingSystem):
         else:
             self.cache.clear()
         self._schedule_monitor_tick()
-        if (
-            self._journal is not None
-            and self._journal_config.snapshot_period_s > 0
-        ):
+        if self._snapshot_period_s > 0:
             self._schedule_snapshot_tick()
 
     def _next_work(

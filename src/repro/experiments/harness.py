@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster.stats import StatsCollector
 from repro.core.baselines import (
     NirvanaSystem,
     PineconeSystem,
@@ -50,6 +51,7 @@ from repro.core.retrieval import (
     TextToImageRetrieval,
     TextToTextRetrieval,
 )
+from repro.core.scheduler import RequestScheduler
 from repro.core.serving import MoDMSystem
 from repro.diffusion.model import DiffusionModelSim
 from repro.diffusion.registry import get_model
@@ -142,9 +144,10 @@ class CacheOnlyRecord:
 class CacheOnlyRun:
     """Replay of a prompt stream through cache + retrieval + generation.
 
-    Mirrors the MoDM decision path (or Nirvana's, with the text-to-text
-    policy and its selector) without queueing.  ``refine_with`` chooses the
-    model applied to cache hits; misses always use ``large``.
+    Decides and admits through the engine's :class:`RequestScheduler`
+    (the MoDM decision path, or Nirvana's with the text-to-text policy and
+    its selector) without queueing.  ``refine_with`` chooses the model
+    applied to cache hits; misses always use ``large``.
     """
 
     space: SemanticSpace
@@ -163,13 +166,21 @@ class CacheOnlyRun:
             embed_dim=self.retrieval.embed_dim,
             policy=self.cache_policy,
         )
+        self.scheduler = RequestScheduler(
+            cache=self.cache,
+            retrieval=self.retrieval,
+            selector=self.selector,
+            stats=StatsCollector(),
+            admission=self.admission,
+            large_model_name=self.large.spec.name,
+        )
         self.records: List[CacheOnlyRecord] = []
 
     def warm(self, prompts: Sequence[Prompt], seed: str = "warmup") -> None:
         """Fill the cache with large-model generations (§6 warm-up)."""
         for prompt in prompts:
             image = self.large.generate(prompt, seed=seed).image
-            self._admit(prompt, image, now=0.0)
+            self.scheduler.admit(prompt, image, now=0.0)
 
     def serve(
         self,
@@ -188,52 +199,31 @@ class CacheOnlyRun:
         return out
 
     def _serve_one(self, prompt: Prompt, now: float) -> CacheOnlyRecord:
-        query = self.retrieval.query_embedding(prompt)
-        entry, similarity = self.cache.retrieve(query)
-        k = self.selector.decide(similarity) if entry is not None else None
-        if entry is not None and k is not None:
-            self.cache.record_hit(entry, now)
-            source = entry.payload
+        decision = self.scheduler.decide(prompt, now)
+        if decision.hit:
+            source = decision.retrieved_image
             skipped = scale_k_steps(
-                k, self.refine_with.spec.total_steps
+                decision.k_steps, self.refine_with.spec.total_steps
             )
             image = self.refine_with.refine(
                 prompt, source, skipped, seed=self.seed, created_at=now
             ).image
-            record = CacheOnlyRecord(
-                prompt=prompt,
-                hit=True,
-                similarity=similarity,
-                k_steps=k,
-                image=image,
-                retrieved_created_at=source.created_at,
-                arrival_s=now,
-            )
+            retrieved_created_at = source.created_at
         else:
             image = self.large.generate(
                 prompt, seed=self.seed, created_at=now
             ).image
-            record = CacheOnlyRecord(
-                prompt=prompt,
-                hit=False,
-                similarity=similarity,
-                k_steps=0,
-                image=image,
-                arrival_s=now,
-            )
-        self._admit(prompt, image, now)
-        return record
-
-    def _admit(self, prompt: Prompt, image, now: float) -> None:
-        if self.admission is CacheAdmission.NONE:
-            return
-        if (
-            self.admission is CacheAdmission.LARGE_ONLY
-            and image.model_name != self.large.spec.name
-        ):
-            return
-        embedding = self.retrieval.index_embedding(prompt, image)
-        self.cache.insert(image, embedding, now)
+            retrieved_created_at = None
+        self.scheduler.admit(prompt, image, now)
+        return CacheOnlyRecord(
+            prompt=prompt,
+            hit=decision.hit,
+            similarity=decision.similarity,
+            k_steps=decision.k_steps,
+            image=image,
+            retrieved_created_at=retrieved_created_at,
+            arrival_s=now,
+        )
 
     # ------------------------------------------------------------------
     # Summaries

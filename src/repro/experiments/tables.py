@@ -246,7 +246,7 @@ def a6_small_model_cache_quality(ctx: ExperimentContext) -> ExperimentResult:
             # Stage 2 fully regenerates every request with the large model.
             for prompt in batch2:
                 image = large.generate(prompt, seed="a6-full").image
-                run._admit(prompt, image, now=0.0)
+                run.scheduler.admit(prompt, image, now=0.0)
         # Stage 3: serve a fresh batch with SDXL refinement against the
         # stage-2 cache; score only the cache hits (the paper evaluates
         # the reused generations).

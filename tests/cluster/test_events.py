@@ -73,14 +73,6 @@ class TestEventLoop:
         assert fired == [1.0, 2.0]
         assert loop.pending == 1
 
-    def test_max_events_budget(self):
-        loop = EventLoop()
-        fired = []
-        for i in range(5):
-            loop.schedule(float(i), fired.append)
-        loop.run(max_events=3)
-        assert len(fired) == 3
-
     def test_step_empty_returns_false(self):
         assert EventLoop().step() is False
 
@@ -93,7 +85,7 @@ class TestEventLoop:
 
 
 class TestRunEdgeCases:
-    """run(until=..., max_events=...) boundary behaviour."""
+    """run(until=...) boundary behaviour."""
 
     def test_event_exactly_at_until_fires(self):
         loop = EventLoop()
@@ -114,32 +106,6 @@ class TestRunEdgeCases:
         assert fired == [0, 1, 2]
         assert loop.pending == 1
 
-    def test_budget_exhaustion_mid_tick(self):
-        # Three events share one timestamp; a budget of two stops the
-        # loop mid-tick with the third still queued at `now`.
-        loop = EventLoop()
-        fired = []
-        for tag in range(3):
-            loop.schedule(1.0, lambda t, tag=tag: fired.append(tag))
-        loop.run(max_events=2)
-        assert fired == [0, 1]
-        assert loop.pending == 1
-        assert loop.now == 1.0
-        # Resuming drains the remainder of the tick deterministically.
-        loop.run()
-        assert fired == [0, 1, 2]
-
-    def test_until_and_budget_combine(self):
-        loop = EventLoop()
-        fired = []
-        for i in range(5):
-            loop.schedule(float(i), fired.append)
-        loop.run(until=3.0, max_events=2)
-        assert fired == [0.0, 1.0]
-        loop.run(until=3.0)
-        assert fired == [0.0, 1.0, 2.0, 3.0]
-        assert loop.pending == 1
-
     def test_until_before_first_event_is_noop(self):
         loop = EventLoop()
         fired = []
@@ -147,12 +113,4 @@ class TestRunEdgeCases:
         loop.run(until=9.0)
         assert fired == []
         assert loop.now == 0.0
-        assert loop.pending == 1
-
-    def test_zero_budget_fires_nothing(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(1.0, fired.append)
-        loop.run(max_events=0)
-        assert fired == []
         assert loop.pending == 1

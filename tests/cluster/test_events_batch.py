@@ -1,14 +1,12 @@
-"""Batched event stepping: ``step_batch`` and the fused ``run`` drain
-pinned to repeated ``step``, event for event.
+"""The fused ``run`` drain pinned to repeated ``step``, event for event.
 
-The loop grew two fast paths — ``step_batch`` (pop every event at the
-head timestamp as one group) and a fused ``run`` drain (one lane
-decision per event) — that must fire callbacks in the exact
-(time, seq, timeline-ties-first) order of the original one-event
-``step``.  These properties build the same schedule three times —
-heap events with duplicate timestamps, callbacks that schedule more
-work at the batch timestamp or later, and a timeline lane that ties
-against heap entries — and assert the firing logs are identical.
+``run`` fuses the lane decision and the firing into one loop with the
+hot state in locals; it must fire callbacks in the exact
+(time, seq, timeline-ties-first) order of the one-event ``step``.  These
+properties build the same schedule twice — heap events with duplicate
+timestamps, callbacks that schedule more work at their own timestamp or
+later, and a timeline lane that ties against heap entries — and assert
+the firing logs are identical.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ _SLOW = settings(
 _TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 2.5, 3.0])
 
 #: What a fired callback does: nothing, schedule another event at its
-#: own timestamp (joins the open batch), or one second later.
+#: own timestamp, or one second later.
 _ACTIONS = st.sampled_from(["none", "same", "later"])
 
 _EVENTS = st.lists(st.tuples(_TIMES, _ACTIONS), max_size=25)
@@ -64,34 +62,6 @@ def _build(events, timeline, log):
             lambda t, i: log.append((t, f"tl{i}")),
         )
     return loop
-
-
-@given(events=_EVENTS, timeline=_TIMELINE)
-@_SLOW
-def test_step_batch_order_matches_step(events, timeline):
-    reference_log = []
-    loop = _build(events, timeline, reference_log)
-    while loop.step():
-        pass
-    assert loop.pending == 0
-
-    batch_log = []
-    loop = _build(events, timeline, batch_log)
-    batch_times = []
-    while True:
-        before = len(batch_log)
-        fired = loop.step_batch()
-        if fired == 0:
-            break
-        batch = batch_log[before:]
-        # Every fired callback logs exactly once, and one batch covers
-        # exactly one timestamp (including open-group joiners).
-        assert len(batch) == fired
-        assert {time for time, _ in batch} == {batch[0][0]}
-        batch_times.append(batch[0][0])
-    assert batch_log == reference_log
-    # Batches settle strictly increasing timestamps.
-    assert batch_times == sorted(set(batch_times))
 
 
 @given(events=_EVENTS, timeline=_TIMELINE)

@@ -65,8 +65,7 @@ def _payload(system, report):
         "routed": tuple(report.routed),
         "cluster_journal": system.journal.digest(),
         "replica_journals": tuple(
-            r._journal.digest() if r._journal is not None else ""
-            for r in system.replicas
+            r.journal.digest() for r in system.replicas
         ),
     }
 

@@ -8,18 +8,22 @@ import numpy as np
 import pytest
 
 from repro._rng import rng_for, unit_vector
+from repro.cluster.arrivals import poisson_arrivals
+from repro.core.baselines import NirvanaSystem, PineconeSystem, VanillaSystem
 from repro.core.cache import IVFParams, VectorCache
 from repro.core.config import (
     ClusterConfig,
     ClusterRoutingConfig,
     JournalConfig,
     MoDMConfig,
+    SLOPolicy,
 )
 from repro.core.journal import (
     ARRIVAL,
     COMPLETE,
     DECISION,
     KIND_NAMES,
+    SHED,
     EventJournal,
     JournalKind,
     JournalReplayer,
@@ -195,11 +199,15 @@ class TestJournalKind:
 
 
 class TestJournalNeutrality:
-    def test_journal_off_by_default(self, space):
+    def test_snapshots_off_by_default(self, space):
+        # The journal is always on; without a JournalConfig it records
+        # the run but no periodic snapshot is captured.
         system = MoDMSystem(space, _config())
-        assert system._journal is None
-        system.run(_trace(space, n=20))
-        assert system._journal is None
+        assert isinstance(system.journal, EventJournal)
+        report = system.run(_trace(space, n=20))
+        counts = system.journal.kind_counts()
+        assert counts["complete"] == report.n_completed
+        assert "snapshot" not in counts
         assert system.snapshots == []
 
     def test_journal_on_is_bit_identical(self, space):
@@ -214,12 +222,78 @@ class TestJournalNeutrality:
             journaled_report
         )
         # ... and the journaled run actually recorded its path.
-        counts = journaled._journal.kind_counts()
+        counts = journaled.journal.kind_counts()
         assert counts["arrival"] > 0
         assert counts["decision"] == len(trace)
         assert counts["complete"] == journaled_report.n_completed
         assert counts["snapshot"] == len(journaled.snapshots)
         assert journaled.snapshots
+
+
+# ----------------------------------------------------------------------
+# Conservation: every serving system journals every request exactly once
+# ----------------------------------------------------------------------
+_OVERLOADED = ClusterConfig(gpu_name="A40", n_workers=2)
+
+
+def _conserving_system(kind, space):
+    if kind == "vanilla":
+        return VanillaSystem(space, _OVERLOADED, slo=SLOPolicy())
+    if kind == "nirvana":
+        return NirvanaSystem(
+            space, _OVERLOADED, cache_capacity=300, slo=SLOPolicy()
+        )
+    if kind == "pinecone":
+        # Pinecone has no SLO gate; its cache-served requests complete
+        # without a worker.
+        return PineconeSystem(space, _OVERLOADED, cache_capacity=300)
+    return MoDMSystem(
+        space,
+        MoDMConfig(
+            cluster=_OVERLOADED,
+            cache_capacity=300,
+            small_models=("sdxl",),
+            slo=SLOPolicy(),
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def overload_trace(space):
+    trace = _trace(space, n=260, seed="journal-conservation")
+    base = trace.slice(60, 260).rebase()
+    arrivals = poisson_arrivals(
+        20.0, len(base), seed="journal-conservation-rate"
+    )
+    return trace, base.with_arrivals(arrivals)
+
+
+class TestJournalConservation:
+    @pytest.mark.parametrize(
+        "kind", ["vanilla", "nirvana", "pinecone", "modm"]
+    )
+    def test_every_request_is_journaled_once(
+        self, space, overload_trace, kind
+    ):
+        trace, timed = overload_trace
+        system = _conserving_system(kind, space)
+        if kind != "vanilla":
+            system.warm_cache([r.prompt for r in trace.requests[:60]])
+        report = system.run(timed)
+        rows = system.journal.entries()
+        cohort_sizes = [b for _t, k, _a, b, _x in rows if k == ARRIVAL]
+        decided = [a for _t, k, a, _b, _x in rows if k in (DECISION, SHED)]
+        completed = [b for _t, k, _a, b, _x in rows if k == COMPLETE]
+        assert sum(cohort_sizes) == len(timed)
+        assert len(decided) == len(timed)
+        assert sorted(decided) == sorted(r.request_id for r in timed)
+        assert len(completed) == report.n_completed
+        assert report.n_completed + report.n_shed == len(timed)
+        if kind in ("vanilla", "nirvana"):
+            assert report.n_shed > 0
+        if kind == "pinecone":
+            # Cache-served completions carry b=-1 ("no worker").
+            assert -1 in completed
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +305,7 @@ class TestSnapshotRestore:
         journal = JournalConfig(snapshot_period_s=45.0)
         straight = MoDMSystem(space, _config(journal=journal))
         straight_payload = _run_payload(straight.run(trace))
-        digest = straight._journal.digest()
+        digest = straight.journal.digest()
         assert len(straight.snapshots) >= 2
 
         snapshot = straight.snapshots[len(straight.snapshots) // 2]
@@ -239,7 +313,7 @@ class TestSnapshotRestore:
         snapshot.restore(resumed)
         resumed_payload = _run_payload(resumed.resume(trace))
         assert resumed_payload == straight_payload
-        assert resumed._journal.digest() == digest
+        assert resumed.journal.digest() == digest
 
     def test_every_snapshot_resumes_identically(self, space):
         trace = _trace(space, n=60)
@@ -263,6 +337,34 @@ class TestSnapshotRestore:
         )
         with pytest.raises(ValueError, match="configuration mismatch"):
             snapshot.restore(other_seed)
+
+    def test_restore_rejects_altered_journal_rows(self, space):
+        journal = JournalConfig(snapshot_period_s=60.0)
+        straight = MoDMSystem(space, _config(journal=journal))
+        straight.run(_trace(space, n=40))
+        snapshot = straight.snapshots[0]
+        rows = snapshot.replica.journal_entries
+        time, kind, a, b, x = rows[0]
+        rows[0] = (time, kind, a, b + 1, x)
+        fresh = MoDMSystem(space, _config(journal=journal))
+        with pytest.raises(ValueError, match="journal digest mismatch"):
+            snapshot.restore(fresh)
+
+    def test_cluster_restore_rejects_altered_journal_rows(self, space):
+        def build():
+            return modm_cluster(
+                space,
+                _config(),
+                ClusterRoutingConfig(n_replicas=2, snapshot_period_s=30.0),
+            )
+
+        straight = build()
+        straight.run(_trace(space, n=40))
+        snapshot = straight.snapshots[0]
+        time, kind, a, b, x = snapshot.journal_entries[0]
+        snapshot.journal_entries[0] = (time, kind, a, b, x + 1.0)
+        with pytest.raises(ValueError, match="journal digest mismatch"):
+            snapshot.restore(build())
 
     def test_cluster_replicas_refuse_full_capture(self, space):
         fleet = modm_cluster(
@@ -291,7 +393,7 @@ class TestJournalSuffixReplay:
     def test_suffix_replay_is_bit_identical(self, space):
         trace = _trace(space)
         straight, payload = self._straight(space, trace)
-        reference = straight._journal.entries()
+        reference = straight.journal.entries()
 
         snapshot = straight.snapshots[len(straight.snapshots) // 2]
         resumed = MoDMSystem(
@@ -306,20 +408,14 @@ class TestJournalSuffixReplay:
         report = replayer.replay(trace_name=trace.name)
         replayer.verify()
         assert _run_payload(report) == payload
-        assert resumed._journal.digest() == (
-            straight._journal.digest()
+        assert resumed.journal.digest() == (
+            straight.journal.digest()
         )
-
-    def test_replayer_requires_a_journal(self, space):
-        system = MoDMSystem(space, _config())
-        system.run(_trace(space, n=10))
-        with pytest.raises(ValueError, match="journaled system"):
-            JournalReplayer(system, [])
 
     def test_replayer_rejects_prefix_mismatch(self, space):
         trace = _trace(space, n=60)
         straight, _payload_ = self._straight(space, trace)
-        reference = straight._journal.entries()
+        reference = straight.journal.entries()
         snapshot = straight.snapshots[-1]
         resumed = MoDMSystem(
             space,

@@ -551,16 +551,12 @@ class TestServingIntegration:
         assert r1.hit_rate == r2.hit_rate
 
     def test_tier_events_are_journaled(self, space, ddb_trace):
-        from repro.core.config import JournalConfig
         from repro.core.serving import MoDMSystem
 
         trace = ddb_trace.slice(0, 120).rebase()
-        system = MoDMSystem(
-            space,
-            self._config(journal=JournalConfig()),
-        )
+        system = MoDMSystem(space, self._config())
         report = system.run(trace)
-        counts = system._journal.kind_counts()
+        counts = system.journal.kind_counts()
         assert counts["promote"] == system.cache.promotions
         assert counts["demote"] == system.cache.demotions
         if report.hit_rate > 0:
